@@ -8,6 +8,11 @@ measurement code the serial profiler runs
 (:func:`repro.search.profiler.measure_region`), and ship the
 measurement entries back as plain dicts.
 
+The region arrives without weights, and its initializers are rebuilt
+as :func:`~repro.graph.graph.shape_only` placeholders, so a worker
+profiles exactly the shape-only region the serial path profiles and
+never materializes an FC weight matrix.
+
 Workers never touch the profile cache — the parent process is the
 single writer, merging results after jobs complete — and they never
 mutate parent state: the region arrives by value and the engine is a
@@ -23,6 +28,7 @@ import time
 from typing import Any, Dict, Mapping
 
 from repro.exec.job import STATUS_OK, JobResult, JobSpec
+from repro.graph.graph import shape_only
 from repro.graph.serialize import graph_from_dict
 from repro.plan.fingerprint import stable_hash
 from repro.runtime.engine import ExecutionEngine
@@ -50,7 +56,14 @@ def execute_job(spec: JobSpec) -> JobResult:
 
     t0 = time.perf_counter()
     engine = _engine_for(spec.engine_spec)
-    region = graph_from_dict(dict(spec.region))
+    data = dict(spec.region)
+    # Jobs ship initializer names without values; rebuild them as
+    # placeholders rather than as zero arrays the timing models never read.
+    weight_names = data.pop("initializers", {})
+    region = graph_from_dict(data)
+    region.initializers = {name: shape_only(region.tensors[name].shape)
+                           for name in weight_names}
+    region.touch()
     runs_before = engine.run_count
     measurements = measure_region(
         region, spec.kind, spec.target, engine,

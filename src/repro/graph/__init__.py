@@ -13,7 +13,7 @@ paper's assumption for DRAM-PIM-friendly contiguous channel access
 
 from repro.graph.tensor import TensorInfo
 from repro.graph.node import Node
-from repro.graph.graph import Graph, GraphError
+from repro.graph.graph import Graph, GraphError, is_shape_only, shape_only
 from repro.graph.builder import GraphBuilder
 from repro.graph.ops import infer_shapes, OP_REGISTRY, is_pim_candidate
 from repro.graph.serialize import graph_to_dict, graph_from_dict, save_graph, load_graph
@@ -23,6 +23,8 @@ __all__ = [
     "Node",
     "Graph",
     "GraphError",
+    "shape_only",
+    "is_shape_only",
     "GraphBuilder",
     "infer_shapes",
     "OP_REGISTRY",

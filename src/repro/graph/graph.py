@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -13,6 +13,24 @@ from repro.graph.tensor import TensorInfo
 
 class GraphError(ValueError):
     """Raised when a graph is structurally invalid."""
+
+
+def shape_only(shape: Tuple[int, ...], dtype=np.float32) -> np.ndarray:
+    """A read-only placeholder array of ``shape`` and ``dtype``.
+
+    Every element aliases one zero (all strides are 0), so the
+    placeholder costs no memory whatever its shape, while ``shape``,
+    ``dtype`` and ``nbytes`` are those of a real array.  Graphs whose
+    initializers are placeholders are for the value-independent timing
+    models only; slicing one yields another placeholder.
+    """
+    return np.broadcast_to(np.zeros((), dtype=dtype), shape)
+
+
+def is_shape_only(value: np.ndarray) -> bool:
+    """True for a :func:`shape_only` placeholder (or a slice of one)."""
+    return (value.size > 0 and not value.flags.writeable
+            and not any(value.strides))
 
 
 class Graph:

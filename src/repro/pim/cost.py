@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.lowering.im2col import LoweredGemv
 from repro.lowering.tiling import ChannelTile, tile_over_channels
@@ -219,9 +219,20 @@ def gemv_cost(gemv: LoweredGemv, config: PimConfig,
     Kernel latency is the slowest channel's cycles (channels run
     independently) plus the fixed kernel launch overhead; partial-sum
     tiles add a combine read of the duplicated partial outputs.
+
+    :func:`tile_cost` depends only on a tile's ``(rows, k, n)``, and the
+    even channel split yields at most a few distinct shapes, so each
+    shape is priced once and its :class:`TileCost` reused in tile order.
     """
     tiles = tile_over_channels(gemv, config.num_channels, opts.scheduling)
-    costs = [tile_cost(t, gemv, config, opts) for t in tiles]
+    priced: Dict[Tuple[int, int, int], TileCost] = {}
+    costs = []
+    for t in tiles:
+        shape = (t.rows, t.k, t.n)
+        cost = priced.get(shape)
+        if cost is None:
+            cost = priced[shape] = tile_cost(t, gemv, config, opts)
+        costs.append(cost)
     per_channel: dict = {}
     for t, c in zip(tiles, costs):
         per_channel[t.channel] = per_channel.get(t.channel, 0) + c.cycles

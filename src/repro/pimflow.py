@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.exec.progress import ProgressReporter
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, GraphError, is_shape_only
 from repro.graph.ops import is_pim_candidate
 from repro.gpu.config import GpuConfig, RTX2060
 from repro.gpu.device import GpuDevice
@@ -475,6 +475,14 @@ class Compiler:
             predicted = compiled.predicted_time_us
             num_measurements = len(compiled.table)
             pass_records = list(compiled.pass_records)
+        placeholders = sorted(name for name, value
+                              in transformed.initializers.items()
+                              if is_shape_only(value))
+        if placeholders:
+            # Profiled regions carry shape-only weights; a plan must not.
+            raise GraphError(
+                f"plan graph carries shape-only placeholder weights: "
+                f"{placeholders}")
 
         traces: Dict[str, object] = {}
         if with_traces and self.pim is not None:

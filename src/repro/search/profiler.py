@@ -25,6 +25,16 @@ with identical results:
 Determinism guarantee: the simulators are deterministic functions of
 the region structure, so serial and parallel profiling produce
 byte-identical measurement tables (the test suite asserts this).
+
+Profiled regions are *shape-only*: their initializers are
+:func:`~repro.graph.graph.shape_only` placeholders, because the timing
+models read shapes, dtypes and attributes, never weight values.  A
+region therefore costs no weight memory, and splitting an FC layer at
+each of the eleven ratios slices placeholders instead of copying its
+weight matrix.  Both execution paths profile the same placeholder
+regions (workers receive regions without weights).  Only the final
+plan, built by :func:`~repro.search.apply.apply_decisions` on the real
+graph, carries real weights.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.exec.engine import JobEngine, resolve_worker_count
 from repro.exec.job import JobResult, JobSpec
 from repro.exec.progress import ProgressReporter
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, shape_only
 from repro.graph.serialize import graph_to_dict
 from repro.plan.cache import ProfileCache
 from repro.plan.fingerprint import region_fingerprint
@@ -48,12 +58,16 @@ from repro.transform.pipeline import pipeline_chain
 from repro.transform.split import apply_mddp
 
 
-def extract_subgraph(graph: Graph, node_names: Sequence[str]) -> Graph:
+def extract_subgraph(graph: Graph, node_names: Sequence[str],
+                     include_weights: bool = True) -> Graph:
     """Isolate ``node_names`` into a standalone region graph.
 
     Tensors consumed from outside the region become graph inputs;
     initializers are carried over; tensors produced in the region and
-    consumed outside (or that are graph outputs) become outputs.
+    consumed outside (or that are graph outputs) become outputs.  With
+    ``include_weights=False`` the region's initializers are
+    :func:`~repro.graph.graph.shape_only` placeholders — enough for the
+    timing models, which never read weight values.
     """
     wanted = set(node_names)
     region = Graph(f"{graph.name}__region")
@@ -64,8 +78,11 @@ def extract_subgraph(graph: Graph, node_names: Sequence[str]) -> Graph:
         for t in node.inputs:
             if t in graph.initializers:
                 if t not in region.tensors:
-                    region.add_initializer(t, graph.initializers[t],
-                                           graph.tensors[t].dtype)
+                    value = graph.initializers[t]
+                    region.add_initializer(
+                        t, value if include_weights
+                        else shape_only(value.shape, value.dtype),
+                        graph.tensors[t].dtype)
             elif t not in produced and t not in region.inputs:
                 region.add_tensor(graph.tensors[t])
                 region.inputs.append(t)
@@ -308,7 +325,8 @@ class RegionProfiler:
     def _profile_one(self, graph: Graph, request: ProfileRequest,
                      ) -> Tuple[List[RegionMeasurement], bool]:
         """The serial path: extract, consult cache, measure, store."""
-        region = extract_subgraph(graph, request.nodes)
+        region = extract_subgraph(graph, request.nodes,
+                                  include_weights=False)
         fp = self._fingerprint(region, request)
         cached = self._lookup(fp)
         if cached is not None:
@@ -330,7 +348,8 @@ class RegionProfiler:
         engine_spec = self.engine_spec or self.engine.to_spec()
         dup_hits = 0
         for i, request in enumerate(requests):
-            region = extract_subgraph(graph, request.nodes)
+            region = extract_subgraph(graph, request.nodes,
+                                      include_weights=False)
             fp = self._fingerprint(region, request)
             prepared.append((request, region, fp))
             if fp in owner_of_fp:

@@ -8,7 +8,11 @@ execute in parallel on disjoint data:
   optimizer elide the data movement.  Interior split boundaries use
   overlapping (halo) input rows instead of padding.
 * **Gemm/MatMul** nodes split along the output columns; the constant
-  weight matrix is pre-split, so no runtime slice is needed at all.
+  weight matrix (and bias) is pre-split, so no runtime slice is needed
+  at all.  Real weights are copied into contiguous per-device slabs;
+  the :func:`~repro.graph.graph.shape_only` placeholders of a profiled
+  region are sliced as views, so pricing an FC layer at every split
+  ratio copies no weights.
 
 The resulting subgraph is ``Slice -> Conv_gpu / Slice -> Conv_pim ->
 Concat`` producing a tensor identical to the original node's output.
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, is_shape_only
 from repro.graph.node import Node
 from repro.graph.ops import is_pim_candidate
 from repro.graph.tensor import TensorInfo
@@ -177,6 +181,13 @@ def _split_conv(g: Graph, node: Node, oh_gpu: int) -> None:
     ))
 
 
+def _column_slice(value: np.ndarray, c0: int, c1: int) -> np.ndarray:
+    """Columns ``[c0, c1)`` of a weight or bias: a contiguous copy of
+    real values, a view of a shape-only placeholder."""
+    part = value[..., c0:c1]
+    return part if is_shape_only(value) else np.ascontiguousarray(part)
+
+
 def _split_gemm(g: Graph, node: Node, n_gpu: int) -> None:
     """Replace a Gemm/MatMul with an output-column-split GPU/PIM pair."""
     w_name = node.inputs[1]
@@ -187,8 +198,12 @@ def _split_gemm(g: Graph, node: Node, n_gpu: int) -> None:
     if len(a_shape) != 2:
         raise TransformError(
             f"cannot split {node.name!r}: only rank-2 activations supported")
+    bias_name = node.inputs[2] if len(node.inputs) > 2 else None
+    if bias_name is not None and bias_name not in g.initializers:
+        raise TransformError(
+            f"cannot split {node.name!r}: bias {bias_name!r} is not a constant")
     weight = g.initializers[w_name]
-    bias = g.initializers[node.inputs[2]] if len(node.inputs) > 2 else None
+    bias = g.initializers[bias_name] if bias_name is not None else None
     m, n_total = g.tensors[node.outputs[0]].shape
     dtype = g.tensors[node.outputs[0]].dtype
 
@@ -196,11 +211,11 @@ def _split_gemm(g: Graph, node: Node, n_gpu: int) -> None:
     splits = [("gpu", 0, n_gpu), ("pim", n_gpu, n_total)]
     for tag, c0, c1 in splits:
         w_part_name = f"{w_name}__{node.name}_{tag}"
-        g.add_initializer(w_part_name, np.ascontiguousarray(weight[:, c0:c1]), dtype)
+        g.add_initializer(w_part_name, _column_slice(weight, c0, c1), dtype)
         inputs = [node.inputs[0], w_part_name]
         if bias is not None:
-            b_part_name = f"{node.inputs[2]}__{node.name}_{tag}"
-            g.add_initializer(b_part_name, np.ascontiguousarray(bias[c0:c1]), dtype)
+            b_part_name = f"{bias_name}__{node.name}_{tag}"
+            g.add_initializer(b_part_name, _column_slice(bias, c0, c1), dtype)
             inputs.append(b_part_name)
         out = f"{node.name}__out_{tag}"
         g.add_tensor(TensorInfo(out, (m, c1 - c0), dtype))

@@ -12,7 +12,13 @@ from repro.pim.config import (
     PimConfig,
     PimOptimizations,
 )
-from repro.pim.cost import buffer_k_tiles, gemv_cost, tile_cost
+from repro.pim.cost import (
+    buffer_k_tiles,
+    gemv_cost,
+    partial_combine_cycles,
+    tile_cost,
+)
+from repro.pim.timing import cycles_to_us
 
 
 def _gemv(rows=64, k=128, n=64, strided=False, contiguous_k=None):
@@ -160,3 +166,67 @@ class TestTileCost:
         opts = PimOptimizations(num_gwrite_buffers=1)
         cost = tile_cost(tiles[0], gemv, CFG, opts)
         assert cost.activations > 64
+
+
+def _priced_per_tile(gemv, config, opts):
+    """Reference: every tile priced on its own, aggregated as gemv_cost
+    documents (slowest channel + partial combine, then refresh)."""
+    tiles = tile_over_channels(gemv, config.num_channels, opts.scheduling)
+    costs = [tile_cost(t, gemv, config, opts) for t in tiles]
+    per_channel = {}
+    for t, c in zip(tiles, costs):
+        per_channel[t.channel] = per_channel.get(t.channel, 0) + c.cycles
+    worst = (max(per_channel.values())
+             + partial_combine_cycles(gemv, config, opts))
+    worst = int(worst * (1.0 + config.timing.refresh_overhead))
+    return costs, worst, cycles_to_us(worst, config) + config.launch_overhead_us
+
+
+class TestTileDedup:
+    """gemv_cost prices each distinct tile shape once; the result must be
+    exactly the per-tile pricing, tile for tile."""
+
+    SHAPES = [
+        # (rows, k, n): comp K-split partial tiles (n < channels) with
+        # even and uneven K shares, multi-pass K, uneven column shares,
+        # tail vector groups, and single-row GEMVs.
+        (1, 4096, 1), (1, 25088, 4), (3, 1000, 7), (7, 96, 2),
+        (49, 4608, 5), (1, 512, 256), (5, 2048, 1000), (10, 64, 16),
+        (196, 1152, 17), (1, 9999, 4096), (64, 128, 33), (2, 16, 3),
+        (3, 1001, 7), (1, 999, 3),
+    ]
+
+    def test_tiles_and_totals_match_per_tile_pricing(self):
+        configs = [CFG, CFG.with_channels(24), CFG.with_channels(5)]
+        opts_list = [
+            NEWTON, NEWTON_PLUS, NEWTON_PLUS_PLUS,
+            PimOptimizations(num_gwrite_buffers=2, scheduling="g_act"),
+            PimOptimizations(num_gwrite_buffers=4, scheduling="readres",
+                             gwrite_latency_hiding=True),
+        ]
+        partial_seen = False
+        for rows, k, n in self.SHAPES:
+            for strided in (False, True):
+                gemv = _gemv(rows=rows, k=k, n=n, strided=strided)
+                for config in configs:
+                    for opts in opts_list:
+                        tiles = tile_over_channels(
+                            gemv, config.num_channels, opts.scheduling)
+                        partial_seen |= any(t.partial for t in tiles)
+                        costs, cycles, time_us = _priced_per_tile(
+                            gemv, config, opts)
+                        got = gemv_cost(gemv, config, opts)
+                        key = (rows, k, n, strided, config.num_channels,
+                               opts)
+                        assert got.tiles == costs, key
+                        assert got.cycles == cycles, key
+                        assert got.time_us == time_us, key
+        assert partial_seen
+
+    def test_shared_cost_per_distinct_shape(self):
+        gemv = _gemv(rows=49, k=4608, n=5)
+        tiles = tile_over_channels(gemv, CFG.num_channels, "comp")
+        got = gemv_cost(gemv, CFG, NEWTON_PLUS_PLUS)
+        distinct = {(t.rows, t.k, t.n) for t in tiles}
+        assert len(tiles) > len(distinct)
+        assert len({id(c) for c in got.tiles}) == len(distinct)

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.builder import GraphBuilder
+from repro.gpu.device import GpuDevice
+from repro.pim.device import PimDevice
+from repro.pimflow import Compiler, PimFlowConfig
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.numerical import execute
+from repro.search.profiler import profile_split
 from repro.transform.base import TransformError, UnsplittableError, conv_h_window
 from repro.transform.split import apply_mddp, split_rows
 
@@ -17,6 +22,15 @@ def _conv_graph(h=14, w=14, cin=8, cout=16, kernel=3, stride=1, pad=None,
     x = b.input("x", (batch, h, w, cin))
     y = b.conv(x, cout=cout, kernel=kernel, stride=stride, pad=pad, name="c0")
     b.output(y)
+    return b.build()
+
+
+def _gemm_with_input_bias():
+    b = GraphBuilder("fcb", seed=9)
+    x = b.input("x", (1, 512))
+    w = b._weight("w", (512, 256))
+    bias = b.input("bias", (256,))
+    b.output(b._emit("Gemm", [x, w, bias], {}, "fc"))
     return b.build()
 
 
@@ -217,6 +231,22 @@ class TestGemmSplit:
         g = b.build()
         with pytest.raises(TransformError):
             apply_mddp(g, "mm", 0.5)
+
+    def test_non_constant_bias_rejected(self):
+        # A Gemm whose bias is a graph input used to escape as a bare
+        # KeyError and abort the whole compile.
+        g = _gemm_with_input_bias()
+        with pytest.raises(TransformError, match="bias"):
+            apply_mddp(g, "fc", 0.5)
+        engine = ExecutionEngine(GpuDevice(), PimDevice())
+        samples = profile_split(g, "fc", engine, (0.0, 0.5, 1.0))
+        assert sorted(samples) == [0.0, 1.0]
+
+    def test_non_constant_bias_compiles(self):
+        plan = Compiler(PimFlowConfig(mechanism="pimflow")).build_plan(
+            _gemm_with_input_bias())
+        assert all(d["ratio_gpu"] in (0.0, 1.0) for d in plan.decisions
+                   if d.get("ratio_gpu") is not None)
 
     def test_fused_activation_preserved_on_parts(self, rng):
         b = GraphBuilder(seed=8)
