@@ -206,6 +206,11 @@ def partial_combine_cycles(gemv: LoweredGemv, config: PimConfig,
     summed as they stream back.
     """
     tiles = tile_over_channels(gemv, config.num_channels, opts.scheduling)
+    return _combine_cycles(tiles, config)
+
+
+def _combine_cycles(tiles: List[ChannelTile], config: PimConfig) -> int:
+    """:func:`partial_combine_cycles` over an already-built tiling."""
     partial_outputs = sum(t.n for t in tiles if t.partial)
     if not partial_outputs:
         return 0
@@ -237,7 +242,7 @@ def gemv_cost(gemv: LoweredGemv, config: PimConfig,
     for t, c in zip(tiles, costs):
         per_channel[t.channel] = per_channel.get(t.channel, 0) + c.cycles
     worst = max(per_channel.values())
-    worst += partial_combine_cycles(gemv, config, opts)
+    worst += _combine_cycles(tiles, config)
     # Periodic refresh steals a fixed fraction of channel cycles.
     worst = int(worst * (1.0 + config.timing.refresh_overhead))
     time_us = cycles_to_us(worst, config) + config.launch_overhead_us

@@ -53,8 +53,8 @@ from repro.plan.fingerprint import region_fingerprint
 from repro.runtime.engine import ExecutionEngine
 from repro.search.table import RegionMeasurement
 from repro.transform.base import TransformError
-from repro.transform.memopt import optimize_memory
-from repro.transform.pipeline import pipeline_chain
+from repro.transform.memopt import optimize_memory_in_place
+from repro.transform.pipeline import pipeline_chain_in_place
 from repro.transform.split import apply_mddp
 
 
@@ -118,12 +118,13 @@ def profile_split(graph: Graph, node_name: str, engine: ExecutionEngine,
     results: Dict[float, float] = {}
     for ratio in ratios:
         try:
-            transformed = optimize_memory(apply_mddp(region, node_name, ratio))
+            transformed = apply_mddp(region, node_name, ratio)
         except TransformError:
             # Interior ratio not realizable for this layer (e.g. halo
             # consumes a piece, or non-constant FC weights); the 0/100
             # and 100/0 samples always succeed.
             continue
+        optimize_memory_in_place(transformed)
         results[ratio] = engine.run(transformed).makespan_us
     return results
 
@@ -131,13 +132,14 @@ def profile_split(graph: Graph, node_name: str, engine: ExecutionEngine,
 def profile_pipeline(graph: Graph, chain: Sequence[str], engine: ExecutionEngine,
                      num_stages: int = 2) -> Optional[float]:
     """Region makespan (us) of a pipelined chain, or None if unsplittable."""
+    # The extracted region is a fresh graph, so it is rewritten in place.
     region = extract_subgraph(graph, chain)
     try:
-        transformed = optimize_memory(
-            pipeline_chain(region, chain, num_stages=num_stages))
+        pipeline_chain_in_place(region, chain, num_stages=num_stages)
     except TransformError:
         return None
-    return engine.run(transformed).makespan_us
+    optimize_memory_in_place(region)
+    return engine.run(region).makespan_us
 
 
 def profile_gpu(graph: Graph, node_names: Sequence[str],

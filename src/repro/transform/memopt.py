@@ -14,7 +14,9 @@ reproduces exactly that.
 
 The implementation is registered with the pass manager
 (:mod:`repro.transform.passes`) as ``optimize_memory``; the public
-function here is a thin wrapper routing through it.
+function here is a thin wrapper routing through it.  Its in-place core,
+:func:`optimize_memory_in_place`, marks a graph the caller already owns
+without another clone.
 """
 
 from __future__ import annotations
@@ -42,6 +44,18 @@ def _pad_is_elidable(shape, pads) -> bool:
 def _optimize_memory(graph: Graph) -> Graph:
     """Return a clone with elidable Slice/Concat/Pad nodes marked."""
     g = graph.clone()
+    optimize_memory_in_place(g)
+    return g
+
+
+def optimize_memory_in_place(g: Graph) -> None:
+    """Mark the elidable Slice/Concat/Pad nodes of ``g`` in place.
+
+    The core of the ``optimize_memory`` pass, for a graph the caller
+    owns: the profiler marks each split candidate it has just built.
+    Only node attributes change, so the graph's structure (and its
+    :attr:`~repro.graph.graph.Graph.version`) is untouched.
+    """
     for node in g.nodes:
         if node.op_type == "Slice":
             shape = g.tensors[node.inputs[0]].shape
@@ -55,11 +69,10 @@ def _optimize_memory(graph: Graph) -> Graph:
             shape = g.tensors[node.inputs[0]].shape
             if _pad_is_elidable(shape, node.attr("pads", ())):
                 node.attrs["elided"] = True
-    return g
 
 
 def optimize_memory(graph: Graph) -> Graph:
     """Memory-layout optimization via the registered ``optimize_memory``
-    pass."""
+    pass; returns a fresh clone with the elidable nodes marked."""
     from repro.transform.passes import run_pass
     return run_pass("optimize_memory", graph)

@@ -515,34 +515,50 @@ def _decision_field(decision: Any, key: str, default: Any = None) -> Any:
     return getattr(decision, key, default)
 
 
+def _check_decisions(graph: Graph, decisions: Sequence[Any]) -> None:
+    """Reject malformed decisions before the first rewrite: an unknown
+    mode, a split of more than one node, or a node ``graph`` lacks."""
+    names = {n.name for n in graph.nodes}
+    for i, d in enumerate(decisions):
+        mode = _decision_field(d, "mode")
+        nodes = list(_decision_field(d, "nodes", ()))
+        if mode not in ("gpu", "split", "pipeline"):
+            raise PassError(f"decision {i}: unknown decision mode {mode!r}")
+        if mode == "split" and len(nodes) != 1:
+            raise PassError(f"decision {i}: split decisions cover exactly "
+                            f"one node, got {nodes}")
+        for name in nodes:
+            if name not in names:
+                raise PassError(f"decision {i} ({mode}) names node "
+                                f"{name!r}, which is not in the graph")
+
+
 def _apply_decisions_pass(graph: Graph, ctx: PassContext) -> Graph:
     """Decision application, duck-typed over solver ``Decision`` objects
     (or their dict form) so the transform layer never imports the
-    search subsystem."""
-    from repro.transform.pipeline import pipeline_chain
-    from repro.transform.split import apply_mddp
+    search subsystem.
+
+    The pass clones its input once and rewrites that private graph in
+    place for every decision.  Malformed decisions are rejected with
+    :class:`PassError` before the clone is made.
+    """
+    from repro.transform.pipeline import pipeline_chain_in_place
+    from repro.transform.split import apply_mddp_in_place
 
     decisions = ctx.require_option("apply_decisions", "decisions")
-    g = graph
+    _check_decisions(graph, decisions)
+    g = graph.clone()
     for d in decisions:
         mode = _decision_field(d, "mode")
         nodes = list(_decision_field(d, "nodes", ()))
         if mode == "gpu":
-            g = g.clone()
             for name in nodes:
                 g.node(name).device = "gpu"
         elif mode == "split":
-            if len(nodes) != 1:
-                raise PassError(
-                    f"split decisions cover exactly one node, got {nodes}")
-            g = apply_mddp(g, nodes[0], _decision_field(d, "ratio_gpu"))
-        elif mode == "pipeline":
-            g = pipeline_chain(g, nodes,
-                               num_stages=_decision_field(d, "stages"))
+            apply_mddp_in_place(g, nodes[0], _decision_field(d, "ratio_gpu"))
         else:
-            raise PassError(f"unknown decision mode {mode!r}")
-    if g is graph:  # no decisions: still honour the clone contract
-        g = graph.clone()
+            pipeline_chain_in_place(g, nodes,
+                                    num_stages=_decision_field(d, "stages"))
     return g
 
 

@@ -108,8 +108,26 @@ def pipeline_chain(graph: Graph, chain: Sequence[str], num_stages: int = 2,
     pipelinable nodes.  ``devices`` overrides the default placement
     (non-DW convs on PIM, everything else on GPU).  Raises
     :class:`UnsplittableError` when halos would make a stage empty.
+
+    A clone-returning wrapper over :func:`pipeline_chain_in_place`,
+    which callers that already own a private graph use directly.
     """
     g = graph.clone()
+    pipeline_chain_in_place(g, chain, num_stages, devices, group_id)
+    return g
+
+
+def pipeline_chain_in_place(g: Graph, chain: Sequence[str],
+                            num_stages: int = 2,
+                            devices: Optional[Dict[str, str]] = None,
+                            group_id: Optional[str] = None) -> None:
+    """Pipeline ``chain`` of ``g``, rewriting ``g``.
+
+    The in-place core of :func:`pipeline_chain`, for a graph the caller
+    owns.  The chain and stage bounds are checked before the first
+    rewrite; on a later :class:`TransformError` the graph may be partly
+    rewritten and the caller discards it.
+    """
     single_consumer_chain(g, chain)
     nodes = [g.node(name) for name in chain]
     bounds = _stage_bounds(nodes, g, num_stages)
@@ -211,4 +229,3 @@ def pipeline_chain(graph: Graph, chain: Sequence[str], num_stages: int = 2,
         outputs=[final_out],
         attrs={"axis": 1, "pipeline_group": group},
     ))
-    return g

@@ -48,10 +48,26 @@ def apply_mddp(graph: Graph, node_name: str, ratio_gpu: float,
     ``axis`` selects the split dimension for convolutions: ``"h"`` (the
     paper's contiguity-friendly default), ``"batch"`` (exact, no halo;
     only meaningful for batch > 1), or ``"auto"`` (``"h"``).
+
+    A clone-returning wrapper over :func:`apply_mddp_in_place`, which
+    callers that already own a private graph use directly.
+    """
+    g = graph.clone()
+    apply_mddp_in_place(g, node_name, ratio_gpu, axis)
+    return g
+
+
+def apply_mddp_in_place(g: Graph, node_name: str, ratio_gpu: float,
+                        axis: str = "auto") -> None:
+    """Split ``node_name`` of ``g`` at ``ratio_gpu``, rewriting ``g``.
+
+    The in-place core of :func:`apply_mddp`, for a graph the caller
+    owns (the decision-application pass's private clone, a profiled
+    split candidate).  On :class:`TransformError` the graph may be
+    partly rewritten; the caller discards it.
     """
     if axis not in ("auto", "h", "batch"):
         raise ValueError(f"unknown split axis {axis!r}")
-    g = graph.clone()
     node = g.node(node_name)
     input_shapes = [g.tensors[t].shape for t in node.inputs]
     if not is_pim_candidate(node, input_shapes):
@@ -72,10 +88,10 @@ def apply_mddp(graph: Graph, node_name: str, ratio_gpu: float,
     gpu_rows = split_rows(total, ratio_gpu)
     if gpu_rows <= 0:
         node.device = "pim"
-        return g
+        return
     if gpu_rows >= total:
         node.device = "gpu"
-        return g
+        return
 
     if node.op_type == "Conv":
         if axis == "batch":
@@ -84,7 +100,6 @@ def apply_mddp(graph: Graph, node_name: str, ratio_gpu: float,
             _split_conv(g, node, gpu_rows)
     else:
         _split_gemm(g, node, gpu_rows)
-    return g
 
 
 def _split_conv_batch(g: Graph, node: Node, batch_gpu: int) -> None:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.plan.fingerprint import graph_fingerprint
 from repro.runtime.numerical import execute
 from repro.search.apply import apply_decisions
 from repro.search.solver import Decision
+from repro.transform.passes import PassError
 
 
 class TestApplyDecisions:
@@ -72,3 +74,33 @@ def test_unknown_mode_rejected(pointwise_chain_graph):
     object.__setattr__(bad, "mode", "teleport")
     with pytest.raises(ValueError):
         apply_decisions(pointwise_chain_graph, [bad])
+
+
+class TestUnknownNodes:
+    """A decision naming a node the graph lacks is a typed error raised
+    before any rewrite, not a bare ``KeyError`` from halfway through."""
+
+    BAD = {
+        "gpu": Decision(nodes=("act2", "nope"), mode="gpu", time_us=1.0),
+        "split": Decision(nodes=("nope",), mode="split", time_us=1.0,
+                          ratio_gpu=0.5),
+        "pipeline": Decision(nodes=("act2", "nope"), mode="pipeline",
+                             time_us=1.0, stages=2),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(BAD))
+    def test_rejected_before_any_rewrite(self, pointwise_chain_graph, mode):
+        graph = pointwise_chain_graph
+        version, fp = graph.version, graph_fingerprint(graph)
+        state = [(n.name, n.device, dict(n.attrs)) for n in graph.nodes]
+        decisions = [
+            Decision(nodes=("pw1",), mode="split", time_us=1.0,
+                     ratio_gpu=0.5),
+            self.BAD[mode],
+        ]
+        with pytest.raises(PassError, match=r"decision 1 .*'nope'"):
+            apply_decisions(graph, decisions)
+        assert graph.version == version
+        assert graph_fingerprint(graph) == fp
+        assert [(n.name, n.device, dict(n.attrs))
+                for n in graph.nodes] == state
