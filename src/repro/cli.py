@@ -537,7 +537,7 @@ def _stat_plan(args: argparse.Namespace) -> int:
         print(f"cannot load plan {args.plan}: {exc}", file=sys.stderr)
         return 2
     info = plan.summary()
-    profile, shard_rows = _plan_step_profile(plan, args.gemm_shards)
+    profile, node_rows = _plan_step_profile(plan, args.gemm_shards)
     if args.json:
         print(json.dumps({
             "summary": info,
@@ -545,7 +545,7 @@ def _stat_plan(args: argparse.Namespace) -> int:
             "passes": plan.pass_log,
             "buffer_plan": dict(plan.buffer_plan),
             "step_profile": profile,
-            "shard_profile": shard_rows,
+            "node_profile": node_rows,
             "provenance": {k: v for k, v in plan.provenance.items()
                            if k != "passes"},
         }, indent=2))
@@ -568,35 +568,34 @@ def _stat_plan(args: argparse.Namespace) -> int:
                                 key=lambda kv: -kv[1]["ms"]):
             print(f"  {kind:<12}{row['steps']:>6}{row['ms']:>9.3f}"
                   f"{row['ms'] / total * 100:>7.1f}%")
-    if shard_rows:
-        print(f"Sharded steps ({len(shard_rows)} nodes, "
-              f"per-shard ms):")
-        print(f"  {'node':<28}{'kind':<8}{'shards':>7}{'ms':>9}"
+    if node_rows:
+        print(f"Slowest nodes (top {min(10, len(node_rows))} of "
+              f"{len(node_rows)}, per-shard ms):")
+        print(f"  {'node':<28}{'kind':<12}{'shards':>7}{'ms':>9}"
               f"  per-shard")
-        for row in shard_rows[:10]:
+        for row in node_rows[:10]:
             per = "/".join(f"{ms:.2f}" for ms in row["shard_ms"])
             name = row["node"]
             if len(name) > 27:
                 name = name[:24] + "..."
-            print(f"  {name:<28}{row['kind']:<8}{row['shards']:>7}"
+            print(f"  {name:<28}{row['kind']:<12}{row['shards']:>7}"
                   f"{row['ms']:>9.3f}  {per}")
-        if len(shard_rows) > 10:
-            rest = sum(r["ms"] for r in shard_rows[10:])
-            print(f"  ... {len(shard_rows) - 10} more sharded nodes, "
-                  f"{rest:.3f} ms")
+        if len(node_rows) > 10:
+            rest = sum(r["ms"] for r in node_rows[10:])
+            print(f"  ... {len(node_rows) - 10} more nodes, {rest:.3f} ms")
     return 0
 
 
 def _plan_step_profile(plan, gemm_shards=None):
-    """Per-op-kind wall-clock breakdown of one compiled inference.
+    """Wall-clock breakdown of one compiled inference.
 
     Binds the plan's graph into a fresh compiled executable and times
     every step, bucketed by kernel class (gemm, dwconv, fused,
-    elementwise, copy, other), plus the per-node, per-shard timing of
-    every intra-op sharded step.  Steps only shard when sharding is
-    enabled (``--gemm-shards`` / ``REPRO_GEMM_SHARDS``), so the shard
-    table is empty by default.  Returns ``({}, [])`` when the graph
-    cannot be bound (e.g. an op with no numpy kernel).
+    elementwise, copy, other), plus every node's time, slowest first,
+    split per shard for intra-op sharded steps (``--gemm-shards`` /
+    ``REPRO_GEMM_SHARDS``; unsharded nodes have one shard).  Returns
+    ``({}, [])`` when the graph cannot be bound (e.g. an op with no
+    numpy kernel).
     """
     from repro.runtime.compiled import CompiledExecutable
     from repro.runtime.gemmpar import ShardPolicy

@@ -125,13 +125,13 @@ class _Scratch:
     """Per-thread scratch pools, sized during bind, allocated lazily.
 
     Closures capture this holder and request shaped views at call time
-    (``a``: im2col columns / contiguous input staging, ``b``: conv
-    output staging / depthwise tap products).  Buffers are
-    thread-local: under the operator-parallel scheduler several steps
-    (or batch shards of one step) run concurrently on pool threads and
-    each must stage into private memory.  Sizes are frozen once
-    binding completes; each thread then allocates its buffers once, on
-    first use.
+    (``a``: im2col columns / contiguous input staging, ``b``: staged
+    conv GEMM output, or one cache-sized band of depthwise tap
+    products).  Buffers are thread-local: under the operator-parallel
+    scheduler several steps (or batch shards of one step) run
+    concurrently on pool threads and each must stage into private
+    memory.  Sizes are frozen once binding completes; each thread then
+    allocates its buffers once, on first use.
     """
 
     __slots__ = ("need_a", "need_b", "need_slot", "num_slots", "_tls")
@@ -298,6 +298,71 @@ def _tile_plan(shape: Tuple[int, ...]) -> Tuple[int, int]:
     return 0, 1
 
 
+#: Channel runs at least this long (float32 elements, 1 KB) already
+#: amortize numpy's per-inner-loop dispatch: widening them to a full
+#: output row measured no faster and costs ``ow`` times the memory.
+_SHORT_RUN = 256
+
+
+def _rows_contiguous(arr: np.ndarray) -> bool:
+    """Whether each ``(W, C)`` row block of an NHWC view is one run.
+
+    Only then can numpy merge W and C into a single inner loop — and
+    only then does a row-wide per-channel operand lengthen it.
+    """
+    return (arr.strides[-1] == arr.itemsize
+            and arr.strides[-2] == arr.shape[-1] * arr.itemsize)
+
+
+def _row_bands(n: int, oh: int,
+               row_elems: int) -> List[Tuple[int, int, int, int]]:
+    """``(n0, n1, y0, y1)`` output bands of ~:data:`TILE_ELEMENTS`.
+
+    A band is a run of whole images when one image fits the budget,
+    otherwise a run of rows (at least one) of a single image.
+    """
+    rows = max(1, TILE_ELEMENTS // max(1, row_elems))
+    if rows >= oh:
+        imgs = max(1, rows // oh)
+        return [(n0, min(n, n0 + imgs), 0, oh) for n0 in range(0, n, imgs)]
+    return [(i, i + 1, y0, min(oh, y0 + rows))
+            for i in range(n) for y0 in range(0, oh, rows)]
+
+
+def _depthwise_bands(xp: np.ndarray, dst: np.ndarray, scratch: "_Scratch",
+                     bands, taps: np.ndarray, bias: Optional[np.ndarray],
+                     act: Optional[Callable[[np.ndarray], None]],
+                     kh: int, kw: int, sh: int, sw: int) -> None:
+    """Depthwise conv of ``xp`` into ``dst``, one cache-resident band
+    at a time.
+
+    Per output element this is the oracle's exact op sequence — a
+    ``+0.0`` start, then ``+= x * tap`` for every tap in (i, j) order,
+    then ``+ bias``, then the activation — so banding only changes
+    which elements share a ufunc call, never a value.  The band's
+    accumulator and tap products (scratch ``b``) stay in cache across
+    all of its passes instead of streaming the whole layer per tap.
+    ``taps``/``bias`` may be row-wide (see
+    :meth:`_ProgramSpec.row_wide`).
+    """
+    ow, c = dst.shape[2], dst.shape[3]
+    for n0, n1, y0, y1 in bands:
+        rows = y1 - y0
+        xb = xp[n0:n1, y0 * sh:(y1 - 1) * sh + kh]
+        db = dst[n0:n1, y0:y1]
+        sb = scratch.view_b((n1 - n0, rows, ow, c))
+        db[...] = 0.0
+        for i in range(kh):
+            for j in range(kw):
+                np.multiply(xb[:, i:i + rows * sh:sh, j:j + ow * sw:sw],
+                            taps[i, j], out=sb)
+                np.add(db, sb, out=db)
+        if bias is not None:
+            np.add(db, bias, out=db)
+        if act is not None:
+            act(db)
+
+
 def _graph_width(dep_counts: List[int],
                  dependents: List[List[int]]) -> int:
     """Max antichain size of the BFS layering of the step graph.
@@ -458,6 +523,24 @@ class _ProgramSpec:
         return self.prepared(
             key, lambda: np.ascontiguousarray(arr.reshape(shape)))
 
+    def row_wide(self, arr: np.ndarray, ow: int) -> np.ndarray:
+        """Per-channel ``arr`` (channels last) repeated across a full
+        output row: shape ``arr.shape[:-1] + (ow, C)``, contiguous.
+
+        Broadcasting a ``(C,)`` operand over an NHWC row keeps numpy's
+        inner loop ``C`` elements long; the row-wide copy lets W and C
+        merge into one ``ow * C`` loop.  Values are repeats, so every
+        element's product or sum is unchanged.  Built once per program
+        and shared by every state.  Operands whose channel run is
+        already :data:`_SHORT_RUN` long come back unchanged.
+        """
+        if arr.shape[-1] >= _SHORT_RUN:
+            return arr
+        key = ("row_wide", id(arr), arr.shape, ow)
+        return self.prepared(key, lambda: np.ascontiguousarray(
+            np.broadcast_to(arr[..., None, :],
+                            arr.shape[:-1] + (ow, arr.shape[-1]))))
+
     def step_graph(self, key, accesses):
         """The (dep_counts, dependents, width) triple for ``accesses``.
 
@@ -508,10 +591,10 @@ class ExecutionState:
         self._scratch = _Scratch()
         self._steps: List[Callable[[], None]] = []
         self._step_kinds: List[str] = []
-        #: Per step: (node name or None, shard index, shard count).
-        #: Shard count > 1 marks intra-op sub-steps (GEMM row panels,
-        #: batch shards) for the profiling and stats surfaces.
-        self._step_meta: List[Tuple[Optional[str], int, int]] = []
+        #: Per step: (node name, shard index, shard count).  Shard
+        #: count > 1 marks intra-op sub-steps (GEMM row panels, batch
+        #: shards) for the profiling and stats surfaces.
+        self._step_meta: List[Tuple[str, int, int]] = []
         self._accesses: List[Tuple[List[_Region], List[_Region]]] = []
         #: Tensors whose bytes live in a state-private buffer instead
         #: of the arena, mapped to the buffer's owning tensor name.
@@ -536,8 +619,9 @@ class ExecutionState:
             spec.step_kind_counts = counts
         if spec.shard_fanout is None:
             fanout: Dict[str, int] = {}
-            for name, _idx, total in self._step_meta:
-                if name is not None and total > 1:
+            for kind, (name, _idx, total) in zip(self._step_kinds,
+                                                 self._step_meta):
+                if kind == "gemm" and total > 1:
                     fanout[name] = total
             spec.shard_fanout = fanout
         self._dep_counts: Optional[List[int]] = None
@@ -654,11 +738,10 @@ class ExecutionState:
         return (kind, key,
                 box[:axis] + ((lo, lo + extent),) + box[axis + 1:])
 
-    def _add_step(self, fn: Callable[[], None],
+    def _add_step(self, fn: Callable[[], None], node: str,
                   reads: List[Optional[_Region]],
                   writes: List[Optional[_Region]],
                   kind: str = "other",
-                  node: Optional[str] = None,
                   shard: Tuple[int, int] = (0, 1)) -> None:
         self._steps.append(fn)
         self._step_kinds.append(kind)
@@ -748,7 +831,7 @@ class ExecutionState:
 
         def step(src=src, priv=priv, shape=shape) -> None:
             np.copyto(priv, src.reshape(shape))
-        self._add_step(step, [self._region(node.inputs[0])],
+        self._add_step(step, node.name, [self._region(node.inputs[0])],
                        [self._region(out)], kind="copy")
 
     def _bind_concat(self, node: Node) -> None:
@@ -780,7 +863,7 @@ class ExecutionState:
             def step(copies=copies) -> None:
                 for dst, src in copies:
                     np.copyto(dst, src)
-            self._add_step(step, reads, writes, kind="copy")
+            self._add_step(step, node.name, reads, writes, kind="copy")
 
     def _bind_pad(self, node: Node) -> None:
         src_name, out = node.inputs[0], node.outputs[0]
@@ -880,8 +963,8 @@ class ExecutionState:
                         np.add(dpan, bias, out=dpan)
                     if act is not None:
                         act(dpan)
-            self._add_step(step, [x_reg], writes, kind="gemm",
-                           node=node.name, shard=(idx, total))
+            self._add_step(step, node.name, [x_reg], writes, kind="gemm",
+                           shard=(idx, total))
         return True
 
     def _bind_conv(self, node: Node) -> None:
@@ -914,69 +997,58 @@ class ExecutionState:
         scratch = self._scratch
         reads = [self._region(x_name)]
         writes = [self._region(out_name)]
+        wbias = bias
+        if bias is not None and _rows_contiguous(dst):
+            wbias = spec.row_wide(bias, ow)
 
         def epilogue() -> None:
-            if bias is not None:
-                np.add(dst, bias, out=dst)
+            if wbias is not None:
+                np.add(dst, wbias, out=dst)
+            if act is not None:
+                act(dst)
+
+        def store(src: np.ndarray) -> None:
+            # A staged result lands in dst with the bias add fused into
+            # the copy: the same sum, one pass fewer.
+            if wbias is not None:
+                np.add(src, wbias, out=dst)
+            else:
+                np.copyto(dst, src)
             if act is not None:
                 act(dst)
 
         if group == cin and cin_g == 1 and cout == group:
             taps = spec.packed_weight(w, (kh, kw, cout))
-            scratch.need_b = max(scratch.need_b, n * oh * ow * cout)
+            if sw == 1 and (not static or _rows_contiguous(get_xp())):
+                taps = spec.row_wide(taps, ow)
+            # Pure ufunc pipeline (multiply + add per tap): sharding
+            # the batch dimension is byte-identical by construction.
             shards = self._shard_count(n) if static else 1
-            if shards > 1:
-                # Pure ufunc pipeline (multiply + add per tap): sharding
-                # the batch dimension is byte-identical by construction.
-                xp_full = get_xp()
-                for n0, n1 in _shard_ranges(n, shards):
-                    xp_s = xp_full[n0:n1]
-                    dst_s = dst[n0:n1]
+            ranges = _shard_ranges(n, shards)
+            for idx, (n0, n1) in enumerate(ranges):
+                bands = _row_bands(n1 - n0, oh, ow * cout)
+                scratch.need_b = max(scratch.need_b, max(
+                    (b1 - b0) * (y1 - y0) * ow * cout
+                    for b0, b1, y0, y1 in bands))
+                dst_s = dst[n0:n1]
 
-                    def step(xp_s=xp_s, dst_s=dst_s, ns=n1 - n0) -> None:
-                        sb = scratch.view_b((ns, oh, ow, cout))
-                        dst_s[...] = 0.0
-                        for i in range(kh):
-                            for j in range(kw):
-                                np.multiply(
-                                    xp_s[:, i:i + oh * sh:sh,
-                                         j:j + ow * sw:sw, :],
-                                    taps[i, j], out=sb)
-                                np.add(dst_s, sb, out=dst_s)
-                        if bias is not None:
-                            np.add(dst_s, bias, out=dst_s)
-                        if act is not None:
-                            act(dst_s)
-                    self._add_step(
-                        step,
-                        [self._region(x_name, batch=(n0, n1))],
-                        [self._region(out_name, batch=(n0, n1))],
-                        kind="dwconv")
-                return
-
-            def step() -> None:
-                xp = get_xp()
-                sb = scratch.view_b((n, oh, ow, cout))
-                dst[...] = 0.0
-                for i in range(kh):
-                    for j in range(kw):
-                        np.multiply(
-                            xp[:, i:i + oh * sh:sh, j:j + ow * sw:sw, :],
-                            taps[i, j], out=sb)
-                        np.add(dst, sb, out=dst)
-                epilogue()
-            self._add_step(step, reads, writes, kind="dwconv")
+                def step(dst_s=dst_s, n0=n0, n1=n1, bands=bands) -> None:
+                    _depthwise_bands(get_xp()[n0:n1], dst_s, scratch, bands,
+                                     taps, wbias, act, kh, kw, sh, sw)
+                batch = (n0, n1) if shards > 1 else None
+                self._add_step(step, node.name,
+                               [self._region(x_name, batch=batch)],
+                               [self._region(out_name, batch=batch)],
+                               kind="dwconv", shard=(idx, len(ranges)))
             return
 
         if group != 1:
             from repro.runtime.numerical import _conv_grouped
 
             def step() -> None:
-                out = _conv_grouped(get_xp(), w, n, oh, ow, kh, kw,
-                                    sh, sw, cin_g, cout, group)
-                np.copyto(dst, out)
-                epilogue()
-            self._add_step(step, reads, writes, kind="gemm")
+                store(_conv_grouped(get_xp(), w, n, oh, ow, kh, kw,
+                                    sh, sw, cin_g, cout, group))
+            self._add_step(step, node.name, reads, writes, kind="gemm")
             return
 
         # Regular convolution: GEMM with the result written in place
@@ -997,10 +1069,11 @@ class ExecutionState:
         def gemm(a2d: np.ndarray, w2d: np.ndarray) -> None:
             if dst2d is not None:
                 np.matmul(a2d, w2d, out=dst2d)
+                epilogue()
             else:
                 sb = scratch.view_b((npix, cout))
                 np.matmul(a2d, w2d, out=sb)
-                np.copyto(dst, sb.reshape(n, oh, ow, cout))
+                store(sb.reshape(n, oh, ow, cout))
 
         if kh == 1 and kw == 1:
             w2d = spec.packed_weight(w, (cin, cout))
@@ -1027,8 +1100,7 @@ class ExecutionState:
                     np.copyto(sa, patch)
                     a2d = sa.reshape(npix, cin)
                 gemm(a2d, w2d)
-                epilogue()
-            self._add_step(step, reads, writes, kind="gemm")
+            self._add_step(step, node.name, reads, writes, kind="gemm")
             return
 
         if npix * kh * kw * cin <= IM2COL_MAX_ELEMENTS:
@@ -1058,8 +1130,8 @@ class ExecutionState:
                 if a2d is not None:
                     def step(a2d=a2d) -> None:
                         gemm(a2d, w2d)
-                        epilogue()
-                    self._add_step(step, reads, writes, kind="gemm")
+                    self._add_step(step, node.name, reads, writes,
+                                   kind="gemm")
                     return
                 scratch.need_a = max(scratch.need_a, npix * K)
 
@@ -1067,8 +1139,7 @@ class ExecutionState:
                     cols = scratch.view_a((n, oh, ow, kh, kw, cin))
                     np.copyto(cols, win)
                     gemm(cols.reshape(npix, K), w2d)
-                    epilogue()
-                self._add_step(step, reads, writes, kind="gemm")
+                self._add_step(step, node.name, reads, writes, kind="gemm")
                 return
             scratch.need_a = max(scratch.need_a, npix * K)
 
@@ -1077,8 +1148,7 @@ class ExecutionState:
                 np.copyto(cols,
                           conv_window_view(get_xp(), oh, ow, kh, kw, sh, sw))
                 gemm(cols.reshape(npix, K), w2d)
-                epilogue()
-            self._add_step(step, reads, writes, kind="gemm")
+            self._add_step(step, node.name, reads, writes, kind="gemm")
             return
 
         def step() -> None:
@@ -1090,7 +1160,7 @@ class ExecutionState:
                     np.add(dst, np.tensordot(patch, w[i, j], axes=([3], [0])),
                            out=dst)
             epilogue()
-        self._add_step(step, reads, writes, kind="gemm")
+        self._add_step(step, node.name, reads, writes, kind="gemm")
 
     def _bind_gemm(self, node: Node) -> None:
         spec = self.spec
@@ -1140,11 +1210,10 @@ class ExecutionState:
                             if act is not None:
                                 act(dpan)
                         self._add_step(
-                            step, reads,
+                            step, node.name, reads,
                             [self._subregion(node.outputs[0], 0,
                                              m0, m1 - m0)],
-                            kind="gemm", node=node.name,
-                            shard=(idx, total))
+                            kind="gemm", shard=(idx, total))
                     return
 
             def step() -> None:
@@ -1153,20 +1222,22 @@ class ExecutionState:
                     np.add(dst, bias, out=dst)
                 if act is not None:
                     act(dst)
-            self._add_step(step, reads, writes, kind="gemm")
+            self._add_step(step, node.name, reads, writes, kind="gemm")
         else:
             self._scratch.need_b = max(self._scratch.need_b, dst.size)
             scratch, shape = self._scratch, dst.shape
 
             def step() -> None:
+                # Staged: the bias add is fused into the copy to dst.
                 sb = scratch.view_b(shape)
                 np.matmul(a, b, out=sb)
-                np.copyto(dst, sb)
                 if bias is not None:
-                    np.add(dst, bias, out=dst)
+                    np.add(sb, bias, out=dst)
+                else:
+                    np.copyto(dst, sb)
                 if act is not None:
                     act(dst)
-            self._add_step(step, reads, writes, kind="gemm")
+            self._add_step(step, node.name, reads, writes, kind="gemm")
 
     def _bind_bn(self, node: Node) -> None:
         spec = self.spec
@@ -1187,24 +1258,27 @@ class ExecutionState:
         dst = self._view(out_name)
 
         def emit(xv: np.ndarray, dv: np.ndarray,
-                 batch: Optional[Tuple[int, int]]) -> None:
+                 batch: Optional[Tuple[int, int]],
+                 shard: Tuple[int, int]) -> None:
             def step(xv=xv, dv=dv) -> None:
                 np.subtract(xv, mean, out=dv)
                 np.divide(dv, denom, out=dv)
                 np.multiply(dv, scale, out=dv)
                 np.add(dv, bias, out=dv)
-            self._add_step(step, [self._region(x_name, batch=batch)],
+            self._add_step(step, node.name,
+                           [self._region(x_name, batch=batch)],
                            [self._region(out_name, batch=batch)],
-                           kind="elementwise")
+                           kind="elementwise", shard=shard)
 
         shards = 1
         if x.shape == dst.shape and dst.ndim >= 2:
             shards = self._shard_count(dst.shape[0])
         if shards <= 1:
-            emit(x, dst, None)
+            emit(x, dst, None, (0, 1))
         else:
-            for n0, n1 in _shard_ranges(dst.shape[0], shards):
-                emit(x[n0:n1], dst[n0:n1], (n0, n1))
+            ranges = _shard_ranges(dst.shape[0], shards)
+            for idx, (n0, n1) in enumerate(ranges):
+                emit(x[n0:n1], dst[n0:n1], (n0, n1), (idx, len(ranges)))
 
     def _bind_elementwise(self, node: Node) -> None:
         spec = self.spec
@@ -1217,7 +1291,7 @@ class ExecutionState:
         shards = self._shard_count(n) if dst.ndim >= 2 else 1
         ranges: List[Optional[Tuple[int, int]]]
         ranges = list(_shard_ranges(n, shards)) if shards > 1 else [None]
-        for rng in ranges:
+        for idx, rng in enumerate(ranges):
             if rng is None:
                 ivs = list(ins)
                 in_batches: List[Optional[Tuple[int, int]]] = \
@@ -1255,11 +1329,11 @@ class ExecutionState:
                 def step(fn=fn, av=av, bv=bv, dv=dv) -> None:
                     fn(av, bv, out=dv)
             self._add_step(
-                step,
+                step, node.name,
                 [self._region(t, batch=b)
                  for t, b in zip(node.inputs, in_batches)],
                 [self._region(out_name, batch=rng)],
-                kind="elementwise")
+                kind="elementwise", shard=(idx, len(ranges)))
 
     def _bind_fused(self, node: Node) -> None:
         """One step per FusedElementwise group.
@@ -1352,7 +1426,8 @@ class ExecutionState:
                     == b.__array_interface__["data"][0])
 
         def emit(ivs: List[np.ndarray], dvs: List[np.ndarray],
-                 shape: Tuple[int, ...], reads, writes) -> None:
+                 shape: Tuple[int, ...], reads, writes,
+                 shard: Tuple[int, int]) -> None:
             axis, chunk = _tile_plan(shape)
             ndim = len(shape)
             n_t = shape[axis]
@@ -1538,11 +1613,11 @@ class ExecutionState:
                     for kern, tins, tgt in calls:
                         kern(tins, tgt)
 
-                self._add_step(step, reads,
+                self._add_step(step, node.name, reads,
                                list(writes) + [reads[i]
                                                for i in sorted(scratch_ops)
                                                if i < len(reads)],
-                               kind="fused")
+                               kind="fused", shard=shard)
                 return
 
             def step(tiles=tuple(tiles), ents=static_ents) -> None:
@@ -1565,11 +1640,13 @@ class ExecutionState:
                 writes = list(writes) + [reads[i]
                                          for i in sorted(scratch_ops)
                                          if i < len(reads)]
-            self._add_step(step, reads, writes, kind="fused")
+            self._add_step(step, node.name, reads, writes, kind="fused",
+                           shard=shard)
 
         shards = self._shard_count(S[0]) if len(S) >= 2 else 1
         if shards > 1:
-            for n0, n1 in _shard_ranges(S[0], shards):
+            ranges = _shard_ranges(S[0], shards)
+            for idx, (n0, n1) in enumerate(ranges):
                 sub_ivs: List[np.ndarray] = []
                 in_batches: List[Optional[Tuple[int, int]]] = []
                 for iv in ins:
@@ -1584,11 +1661,11 @@ class ExecutionState:
                      [self._region(t, batch=b)
                       for t, b in zip(node.inputs, in_batches)],
                      [self._region(t, batch=(n0, n1))
-                      for t in node.outputs])
+                      for t in node.outputs], (idx, len(ranges)))
         else:
             emit(ins, dsts, S,
                  [self._region(t) for t in node.inputs],
-                 [self._region(t) for t in node.outputs])
+                 [self._region(t) for t in node.outputs], (0, 1))
 
     def _bind_generic(self, node: Node) -> None:
         fn = KERNELS.get(node.op_type)
@@ -1603,7 +1680,8 @@ class ExecutionState:
         def step(node=node, fn=fn, ins=ins, outs=outs) -> None:
             for dst, res in zip(outs, _node_results(node, fn(node, ins))):
                 np.copyto(dst, res)
-        self._add_step(step, [self._region(t) for t in node.inputs],
+        self._add_step(step, node.name,
+                       [self._region(t) for t in node.inputs],
                        [self._region(t) for t in node.outputs])
 
     # ------------------------------------------------------------------
@@ -1627,18 +1705,19 @@ class ExecutionState:
     def run_profiled(self, feeds: Mapping[str, np.ndarray]
                      ) -> Tuple[Dict[str, np.ndarray], Dict[str, dict],
                                 List[dict]]:
-        """Serial run with per-step timing grouped by step kind.
+        """Serial run with per-step timing, by kind and by node.
 
         Returns ``(outputs, {kind: {"steps": n, "ms": total}},
-        shard_rows)`` — the attribution behind ``repro stat --plan``
-        and :meth:`CompiledExecutable.step_profile`.  ``shard_rows``
-        aggregates intra-op sharded steps per node:
-        ``{"node", "kind", "shards", "ms", "shard_ms": [per-shard]}``.
+        node_rows)`` — the attribution behind ``repro stat --plan`` and
+        :meth:`CompiledExecutable.step_profile`.  ``node_rows`` has one
+        row per bound node, in step order: ``{"node", "kind", "shards",
+        "ms", "shard_ms": [per-shard]}``; unsharded nodes have
+        ``shards == 1``.
         """
         for name, view in self._input_views:
             np.copyto(view, feeds[name])
         prof: Dict[str, List[float]] = {}
-        sharded: Dict[str, dict] = {}
+        rows: Dict[str, dict] = {}
         for step, kind, (nname, sidx, stotal) in zip(
                 self._steps, self._step_kinds, self._step_meta):
             t0 = time.perf_counter()
@@ -1647,15 +1726,14 @@ class ExecutionState:
             entry = prof.setdefault(kind, [0, 0.0])
             entry[0] += 1
             entry[1] += dt
-            if nname is not None and stotal > 1:
-                row = sharded.setdefault(nname, {
-                    "node": nname, "kind": kind, "shards": stotal,
-                    "ms": 0.0, "shard_ms": [0.0] * stotal})
-                row["ms"] += dt * 1e3
-                row["shard_ms"][sidx] += dt * 1e3
+            row = rows.setdefault(nname, {
+                "node": nname, "kind": kind, "shards": stotal,
+                "ms": 0.0, "shard_ms": [0.0] * stotal})
+            row["ms"] += dt * 1e3
+            row["shard_ms"][sidx] += dt * 1e3
         profile = {kind: {"steps": int(n), "ms": total * 1e3}
                    for kind, (n, total) in prof.items()}
-        return self._collect_outputs(), profile, list(sharded.values())
+        return self._collect_outputs(), profile, list(rows.values())
 
     def _collect_outputs(self) -> Dict[str, np.ndarray]:
         out: Dict[str, np.ndarray] = {}
@@ -1966,9 +2044,9 @@ class CompiledExecutable:
         feeds if none given) and keeps each kind's best total, so
         first-run binding noise doesn't pollute the attribution.
         Returns ``{kind: {"steps": n, "ms": total}}``; with
-        ``detail=True`` returns ``(kinds, shard_rows)`` where
-        ``shard_rows`` lists each intra-op sharded node's per-shard
-        timing (best round by node total), sorted slowest-first.
+        ``detail=True`` returns ``(kinds, node_rows)`` where
+        ``node_rows`` holds every node's timing (best round by node
+        total, per-shard split included), sorted slowest-first.
         """
         if feeds is None:
             feeds = {name: np.zeros(self.graph.tensors[name].shape,
@@ -1982,12 +2060,12 @@ class CompiledExecutable:
             best: Dict[str, dict] = {}
             best_rows: Dict[str, dict] = {}
             for _ in range(max(1, int(rounds))):
-                _, profile, shard_rows = state.run_profiled(feeds32)
+                _, profile, node_rows = state.run_profiled(feeds32)
                 for kind, entry in profile.items():
                     cur = best.get(kind)
                     if cur is None or entry["ms"] < cur["ms"]:
                         best[kind] = entry
-                for row in shard_rows:
+                for row in node_rows:
                     cur = best_rows.get(row["node"])
                     if cur is None or row["ms"] < cur["ms"]:
                         best_rows[row["node"]] = row

@@ -219,6 +219,7 @@ class TestPassObservability:
         assert "Pass pipeline" in out
         assert "[verified]" in out
         assert "Buffer plan" in out
+        assert "Slowest nodes (top 10 of" in out
 
     def test_stat_plan_missing_file(self, tmp_path, capsys):
         assert main(["-m=stat", f"--plan={tmp_path / 'nope.json'}"]) == 2
