@@ -232,7 +232,7 @@ def bench_compile(model: str, rounds: int) -> Dict[str, float]:
     from repro.pimflow import PimFlow, PimFlowConfig
 
     graph = build_model(model)
-    config = PimFlowConfig(mechanism="pimflow", jobs=1)
+    config = PimFlowConfig(mechanism="pimflow")
 
     cold = float("inf")
     flow: Optional[PimFlow] = None

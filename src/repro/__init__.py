@@ -50,16 +50,11 @@ _EXPORTS = {
     "ExecutionPlan": "repro.plan",
     "ProfileCache": "repro.plan",
     "PlanExecutor": "repro.runtime.executor",
-    "JobEngine": "repro.exec",
-    "JobResult": "repro.exec",
-    "JobSpec": "repro.exec",
-    "ProgressReporter": "repro.exec",
 }
 
 __all__ = [*_EXPORTS, "__version__"]
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
-    from repro.exec import JobEngine, JobResult, JobSpec, ProgressReporter
     from repro.graph import Graph, GraphBuilder, Node, TensorInfo
     from repro.models import build_model, list_models
     from repro.pimflow import (

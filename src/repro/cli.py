@@ -25,12 +25,8 @@ enables the content-addressed profile cache: any step that profiles
 serves repeated regions from disk instead of the simulators, and
 ``pimflow -m=stat`` reports the cache's effectiveness.
 
-``--jobs N`` fans profiling cache misses out over N worker processes
-(``--jobs 0`` uses every CPU core; the ``REPRO_JOBS`` environment
-variable sets the default).  Parallel profiling streams progress to
-stderr and produces measurement tables byte-identical to ``--jobs 1``;
-every profiling step additionally prints a ``[profile]`` summary line
-(candidates, jobs run, cache hits, wall-clock).
+Every profiling step prints a ``[profile]`` summary line (candidates,
+requests, simulated regions, cache hits, wall-clock).
 
 Pass-manager observability::
 
@@ -98,12 +94,12 @@ def _preprocess_argv(argv: List[str]) -> List[str]:
     return out
 
 
-def _jobs_arg(value: str) -> int:
-    jobs = int(value)
-    if jobs < 0:
+def _count_arg(value: str) -> int:
+    count = int(value)
+    if count < 0:
         raise argparse.ArgumentTypeError(
-            f"must be >= 0 (0 = one worker per CPU core), got {jobs}")
-    return jobs
+            f"must be >= 0 (0 = one per CPU core), got {count}")
+    return count
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -147,11 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", dest="cache_dir", default=None,
                         help="enable the content-addressed profile cache "
                              "in this directory")
-    parser.add_argument("--jobs", type=_jobs_arg, default=None,
-                        help="profiling worker processes: 1 = serial "
-                             "(default), N = fan cache misses out over N "
-                             "workers, 0 = one per CPU core; the REPRO_JOBS "
-                             "environment variable sets the default")
     parser.add_argument("--traces", action="store_true",
                         help="for -m=compile: attach explicit PIM command "
                              "traces to the plan")
@@ -175,14 +166,14 @@ def _build_parser() -> argparse.ArgumentParser:
                              "executor (--no-compiled falls back to the "
                              "interpreted reference executor)")
     parser.add_argument("--host-workers", dest="host_workers",
-                        type=_jobs_arg, default=None,
+                        type=_count_arg, default=None,
                         help="operator-parallel threads inside each host "
                              "inference: 1 = serial (default), N = dispatch "
                              "up to N ready steps at once, 0 = one per CPU "
                              "core; the REPRO_HOST_WORKERS environment "
                              "variable sets the default")
     parser.add_argument("--gemm-shards", dest="gemm_shards",
-                        type=_jobs_arg, default=None,
+                        type=_count_arg, default=None,
                         help="intra-operator GEMM row-panel shards per "
                              "conv/matmul step (default: follow "
                              "--host-workers; 1 = off, 0 = one per CPU "
@@ -222,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="per-request deadline; requests not started "
                             "within it fail with DeadlineExceeded")
-    serve.add_argument("--threads", dest="host_threads", type=_jobs_arg,
+    serve.add_argument("--threads", dest="host_threads", type=_count_arg,
                        default=None,
                        help="serving alias for --host-workers: "
                             "operator-parallel threads inside each host "
@@ -243,21 +234,9 @@ def _config(args: argparse.Namespace, mechanism: str) -> PimFlowConfig:
         ratio_step=args.ratio_step,
         pipeline_stages=args.stages,
         cache_dir=args.cache_dir,
-        jobs=args.jobs,
         verify_passes=args.verify_passes,
         dump_ir_dir=args.dump_ir,
     )
-
-
-def _flow(args: argparse.Namespace, mechanism: str) -> PimFlow:
-    """A PimFlow wired for the CLI: config from flags, and live
-    progress telemetry on stderr whenever profiling runs in parallel."""
-    from repro.exec.progress import ConsoleReporter
-
-    flow = PimFlow(_config(args, mechanism))
-    if flow.compiler.jobs != 1:
-        flow.compiler.progress = ConsoleReporter(stream=sys.stderr)
-    return flow
 
 
 def _print_profile_summary(flow: PimFlow) -> None:
@@ -266,12 +245,8 @@ def _print_profile_summary(flow: PimFlow) -> None:
     if not s:
         return
     print(f"[profile] {s['candidates']} candidates, {s['requests']} "
-          f"requests: {s['jobs_run']} jobs on {s['workers']} worker(s), "
-          f"{s['cache_hits']} cache hits, {s['failed']} failed, "
-          f"{s['wall_s']:.2f}s")
-    for failed in s["failed_jobs"]:
-        print(f"[profile] failed job {failed['job_id']}: {failed['error']} "
-              f"(after {failed['attempts']} attempts)", file=sys.stderr)
+          f"requests, {s['simulated']} simulated, {s['cache_hits']} cache "
+          f"hits, {s['wall_s']:.2f}s")
 
 
 def _print_pass_summary(records) -> None:
@@ -316,7 +291,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     paths = _paths(args)
     paths["base"].mkdir(parents=True, exist_ok=True)
     mechanism = "pimflow-md" if args.profile_type == "split" else "pimflow-pl"
-    flow = _flow(args, mechanism)
+    flow = PimFlow(_config(args, mechanism))
     graph = flow.prepare(build_model(args.net))
     table = flow.profile(graph)
     out = paths[args.profile_type]
@@ -328,7 +303,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     paths = _paths(args)
-    flow = _flow(args, "pimflow")
+    flow = PimFlow(_config(args, "pimflow"))
     graph = flow.prepare(build_model(args.net))
 
     table = MeasurementTable()
@@ -379,7 +354,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     """Compile a model into a reusable execution-plan artifact."""
     paths = _paths(args)
     mechanism = POLICIES[args.policy]
-    flow = _flow(args, mechanism)
+    flow = PimFlow(_config(args, mechanism))
     plan = flow.build_plan(build_model(args.net), model_name=args.net,
                            with_traces=args.traces)
     out = Path(args.plan) if args.plan else paths["base"] / "plan.json"
@@ -454,7 +429,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 0
 
     mechanism = POLICIES[args.policy]
-    flow = _flow(args, mechanism)
+    flow = PimFlow(_config(args, mechanism))
     if args.policy == "PIMFlow" and paths["graph"].exists():
         graph = load_graph(paths["graph"])
         result = flow.engine.run(graph)
@@ -471,7 +446,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_stat(args: argparse.Namespace) -> int:
     if args.plan:
         return _stat_plan(args)
-    flow = _flow(args, "pimflow-md")
+    flow = PimFlow(_config(args, "pimflow-md"))
     graph = flow.prepare(build_model(args.net))
     compiled = flow.compile(graph)
     dist = mddp_ratio_distribution(compiled.decisions,
@@ -772,7 +747,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.gantt import render_gantt
     from repro.analysis.report import compilation_report, format_report
 
-    flow = _flow(args, POLICIES[args.policy])
+    flow = PimFlow(_config(args, POLICIES[args.policy]))
     compiled = flow.compile(build_model(args.net))
     result = flow.engine.run(compiled.graph)
     _print_profile_summary(flow)

@@ -23,14 +23,12 @@ The ``mechanism`` selects the offloading scheme of the evaluation
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.exec.progress import ProgressReporter
 from repro.graph.graph import Graph, GraphError, is_shape_only
 from repro.graph.ops import is_pim_candidate
 from repro.gpu.config import GpuConfig, RTX2060
@@ -118,22 +116,14 @@ class PimFlowConfig:
     #: them instead of re-running the simulators.  Set False to force
     #: every profile through the simulators (e.g. when timing them).
     memoize: bool = True
-    #: Profiling worker processes: 1 = serial (historical behaviour),
-    #: N > 1 = fan cache misses out over N workers, 0 = one worker per
-    #: CPU.  None defers to the ``REPRO_JOBS`` environment variable
-    #: (default 1).  Parallel profiling is deterministic — the
-    #: measurement table is byte-identical to the serial one — so this
-    #: knob deliberately does not participate in the configuration
-    #: fingerprint.
-    jobs: Optional[int] = None
     #: Host inference workers: the operator-parallel dispatch width
     #: inside each compiled run (1 = serial, the historical behaviour;
     #: 0 = one per CPU core).  None defers to the
     #: ``REPRO_HOST_WORKERS`` environment variable (default 1).  The
     #: parallel schedule is byte-identical to serial — hazard edges
     #: derived from the buffer plan keep every conflicting access in
-    #: program order — so, like ``jobs``, this knob does not
-    #: participate in the configuration fingerprint.
+    #: program order — so this knob does not participate in the
+    #: configuration fingerprint.
     host_workers: Optional[int] = None
     #: Intra-operator GEMM shard cap: how many row panels a single
     #: conv/matmul step may split into on the host pool (None = follow
@@ -144,11 +134,6 @@ class PimFlowConfig:
     #: that guarantee it), so — like ``host_workers`` — this knob does
     #: not participate in the configuration fingerprint.
     gemm_shards: Optional[int] = None
-    #: Per-job wall-clock limit in parallel mode; a job exceeding it is
-    #: retried and eventually recorded as failed.  None = no limit.
-    job_timeout_s: Optional[float] = None
-    #: Failed-attempt retries per job before recording a failure.
-    job_retries: int = 2
     #: Front-end pass pipeline run by ``prepare`` (registered pass
     #: names); empty = the standard TVM-style front end
     #: (:data:`repro.transform.passes.PREPARE_PASSES`).  Participates in
@@ -219,10 +204,8 @@ class Compiler:
     """
 
     def __init__(self, config: Optional[PimFlowConfig] = None,
-                 cache: Optional[ProfileCache] = None,
-                 progress: Optional[ProgressReporter] = None) -> None:
+                 cache: Optional[ProfileCache] = None) -> None:
         self.config = config or PimFlowConfig()
-        self.progress = progress
         spec = self.config.spec
         if spec.uses_pim:
             gpu_cfg = self.config.memory.gpu_config(self.config.gpu_base)
@@ -240,25 +223,14 @@ class Compiler:
             cache = MemoryProfileCache()
         self.cache = cache
         self._config_fp: Optional[str] = None
-        #: Summary of the most recent profile phase (request counts,
-        #: cache hits, jobs run, wall-clock) for CLI/telemetry use.
+        #: Summary of the most recent profile phase (candidates,
+        #: samples, requests, simulated, cache hits, wall-clock) for
+        #: CLI/telemetry use.
         self.last_profile_summary: Dict[str, object] = {}
         #: Per-pass instrumentation log of the most recent
         #: ``prepare``/``compile``/``build_plan`` (list of
         #: ``PassRecord.to_dict`` dicts) for CLI/provenance use.
         self.last_pass_records: List[Dict[str, object]] = []
-
-    @property
-    def jobs(self) -> int:
-        """Resolved profiling worker count: the config's ``jobs`` knob,
-        else the ``REPRO_JOBS`` environment variable, else 1."""
-        if self.config.jobs is not None:
-            return self.config.jobs
-        try:
-            jobs = int(os.environ.get("REPRO_JOBS", "") or 1)
-        except ValueError:
-            return 1
-        return jobs if jobs >= 0 else 1  # a broken env var never aborts
 
     @property
     def config_fingerprint(self) -> str:
@@ -361,19 +333,12 @@ class Compiler:
 
         With a cache configured, regions whose structural fingerprints
         were measured before (under this configuration fingerprint) are
-        served from disk with zero simulator invocations.  With
-        ``jobs > 1`` (or ``REPRO_JOBS`` set), cache misses fan out over
-        worker processes through :mod:`repro.exec`; the resulting table
-        is byte-identical to the serial one.
+        served from disk with zero simulator invocations.
         """
         t0 = time.perf_counter()
         requests, candidates = self._profile_requests(graph)
         profiler = RegionProfiler(
-            self.engine, self.cache, self.config_fingerprint,
-            jobs=self.jobs, engine_spec=self.runtime_spec(),
-            timeout_s=self.config.job_timeout_s,
-            retries=self.config.job_retries,
-            progress=self.progress)
+            self.engine, self.cache, self.config_fingerprint)
         if self.cache is not None:
             self.cache.reset_stats()
         table = MeasurementTable()
@@ -386,7 +351,6 @@ class Compiler:
             "candidates": candidates,
             "samples": len(table),
             **profiler.last_stats,
-            "failed_jobs": [r.to_dict() for r in profiler.failed_jobs],
             "wall_s": time.perf_counter() - t0,
         }
         return table
@@ -440,9 +404,8 @@ class Compiler:
     # ------------------------------------------------------------------
     def runtime_spec(self) -> Dict[str, object]:
         """Serializable description of the execution environment, enough
-        for :class:`~repro.runtime.executor.PlanExecutor` — or a
-        profiling worker process — to rebuild an identical engine
-        without this compiler."""
+        for :class:`~repro.runtime.executor.PlanExecutor` to rebuild an
+        identical engine without this compiler."""
         return {"mechanism": self.config.mechanism, **self.engine.to_spec()}
 
     def build_plan(self, graph: Graph, model_name: Optional[str] = None,
@@ -526,9 +489,8 @@ class PimFlow:
     """
 
     def __init__(self, config: Optional[PimFlowConfig] = None,
-                 cache: Optional[ProfileCache] = None,
-                 progress: Optional[ProgressReporter] = None) -> None:
-        self.compiler = Compiler(config, cache=cache, progress=progress)
+                 cache: Optional[ProfileCache] = None) -> None:
+        self.compiler = Compiler(config, cache=cache)
 
     @property
     def config(self) -> PimFlowConfig:

@@ -19,13 +19,13 @@ changed device config, mechanism, or optimization flag lands in a fresh
 subdirectory, and :meth:`ProfileCache.invalidate` removes a stale
 configuration's entries wholesale.
 
-Concurrency: writes are atomic (unique temp file + ``os.replace``), so
-readers never observe partial entries even with several profilers
-sharing one cache directory.  Within one toolchain the parallel
-profiling path additionally funnels all writes through the parent
-process — the :class:`~repro.search.profiler.RegionProfiler` is the
-single writer, merging worker results after jobs complete — so worker
-crashes can never corrupt or half-write an entry.
+Concurrency: several writers may share one cache directory — threads
+of one process (the serving layer compiles models lazily from its
+worker threads, each compiler with its own cache on the same
+directory) and separate processes.  Every store writes a temp file
+named by its process and thread, then ``os.replace``s it over the
+entry, so readers never observe partial entries and concurrent stores
+of one key never collide: the last replace wins with a whole entry.
 
 Entries are lists of measurement dicts (``RegionMeasurement.to_dict``
 form), kept as plain data so this module needs nothing from
@@ -38,6 +38,7 @@ import json
 import logging
 import os
 import shutil
+import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -96,11 +97,12 @@ class ProfileCache:
         path = self._entry_path(config_fingerprint, region_fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"entries": entries, "meta": meta or {}}
-        # Per-process temp name: two processes storing the same entry
-        # must never interleave writes into one temp file.
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
+        # Temp name per process and thread: two threads or processes
+        # storing the same entry must never share one temp file.
+        tmp = path.with_suffix(
+            f".{os.getpid()}.{threading.get_ident()}.tmp")
         tmp.write_text(json.dumps(payload))
-        tmp.replace(path)  # atomic: concurrent profilers never see partials
+        tmp.replace(path)  # atomic: readers never see partials
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -175,8 +177,8 @@ class MemoryProfileCache(ProfileCache):
     ``compile()`` calls on the same compiler replay measurements
     instead of re-running the transform passes and simulators, and the
     process leaves nothing behind on exit.  Entries are stored as the
-    same plain measurement dicts the disk cache keeps, so serial and
-    parallel profiling stay byte-identical through either backend.
+    same plain measurement dicts the disk cache keeps, so a profile
+    replayed from either backend is byte-identical to a measured one.
     """
 
     def __init__(self) -> None:

@@ -96,8 +96,7 @@ class ExecutionEngine:
     models are dataclasses; there are no open handles), and
     :meth:`to_spec` emits the JSON-compatible description that
     :func:`repro.runtime.executor.engine_from_spec` rebuilds an
-    identical engine from — the contract both the plan artifact and the
-    job-engine worker processes rely on.
+    identical engine from — the contract the plan artifact relies on.
     """
 
     def __init__(self, gpu: GpuDevice, pim: Optional[PimDevice] = None,

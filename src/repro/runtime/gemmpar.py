@@ -93,9 +93,8 @@ class ShardPolicy:
         """Default policy, with ``REPRO_GEMM_SHARDS`` applied if set.
 
         An unparseable or negative value is ignored — like
-        ``REPRO_JOBS`` and ``REPRO_HOST_WORKERS``, a broken env var
-        never aborts an inference; ``--gemm-shards`` is the validated
-        surface.
+        ``REPRO_HOST_WORKERS``, a broken env var never aborts an
+        inference; ``--gemm-shards`` is the validated surface.
         """
         raw = os.environ.get("REPRO_GEMM_SHARDS", "").strip()
         if not raw:

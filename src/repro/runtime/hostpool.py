@@ -4,8 +4,7 @@ Three small pieces shared by :mod:`repro.runtime.compiled`, the
 execution engine, and the serving layer:
 
 * :func:`resolve_host_workers` — the one place the ``REPRO_HOST_WORKERS``
-  environment default is interpreted (mirroring ``REPRO_JOBS`` for the
-  profiling job engine).
+  environment default is interpreted.
 * :class:`StatePool` — a bounded pool of per-run execution states.  The
   compiled executable keeps one pool per bound program; N server workers
   then run truly concurrently, each on its own arena, instead of

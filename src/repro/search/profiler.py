@@ -7,34 +7,23 @@ the paper), runs the memory-layout optimizer, and measures the region
 makespan on the simulators.  Pipelining candidates are measured the
 same way on their extracted chains.
 
-Profiling is embarrassingly parallel — every region measurement is
-independent — so :class:`RegionProfiler` supports two execution paths
-with identical results:
-
-* ``jobs=1`` (default): the historical serial loop — extract, check
-  the cache, measure inline, store.
-* ``jobs>1``: enumerate all requests, consult the
-  :class:`~repro.plan.cache.ProfileCache` up front, deduplicate misses
-  by content fingerprint, fan the unique misses out through a
-  :class:`~repro.exec.engine.JobEngine`, and merge results back in
-  canonical request order.  The parent process is the cache's single
-  writer; workers never touch it.  Jobs that crash or time out are
-  recorded on :attr:`RegionProfiler.failed_jobs` and yield empty
-  measurement lists — a dead worker never aborts the search.
-
-Determinism guarantee: the simulators are deterministic functions of
-the region structure, so serial and parallel profiling produce
-byte-identical measurement tables (the test suite asserts this).
+:class:`RegionProfiler` runs one serial loop per request: extract the
+region, look its structural fingerprint up in the
+:class:`~repro.plan.cache.ProfileCache`, measure on a miss, store.
+Structurally identical layers of a model share one cache slot, so a
+cold compile already serves its duplicates as cache hits, and a warm
+disk cache replays a whole model with zero simulator runs.  The
+simulators are deterministic functions of the region structure, so
+the same graph always yields the same measurement table.
 
 Profiled regions are *shape-only*: their initializers are
 :func:`~repro.graph.graph.shape_only` placeholders, because the timing
 models read shapes, dtypes and attributes, never weight values.  A
 region therefore costs no weight memory, and splitting an FC layer at
 each of the eleven ratios slices placeholders instead of copying its
-weight matrix.  Both execution paths profile the same placeholder
-regions (workers receive regions without weights).  Only the final
-plan, built by :func:`~repro.search.apply.apply_decisions` on the real
-graph, carries real weights.
+weight matrix.  Only the final plan, built by
+:func:`~repro.search.apply.apply_decisions` on the real graph, carries
+real weights.
 """
 
 from __future__ import annotations
@@ -43,11 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.exec.engine import JobEngine, resolve_worker_count
-from repro.exec.job import JobResult, JobSpec
-from repro.exec.progress import ProgressReporter
 from repro.graph.graph import Graph, shape_only
-from repro.graph.serialize import graph_to_dict
 from repro.plan.cache import ProfileCache
 from repro.plan.fingerprint import region_fingerprint
 from repro.runtime.engine import ExecutionEngine
@@ -155,9 +140,8 @@ def measure_region(region: Graph, kind: str, target: Sequence[str],
                    engine: ExecutionEngine, ratios: Sequence[float] = (),
                    stages: int = 2,
                    fingerprint: Optional[str] = None) -> List[RegionMeasurement]:
-    """Measure one extracted region — the single code path shared by the
-    serial profiler and the job-engine workers, so parallel profiling
-    cannot diverge from serial profiling."""
+    """Measure one extracted region: the profiler's single measurement
+    path for every request kind."""
     if kind == "split":
         name = target[0]
         measurements: List[RegionMeasurement] = []
@@ -221,38 +205,14 @@ class RegionProfiler:
     result — including the *negative* result of an unsplittable
     pipeline chain — is stored for every later profile of the same
     structure.
-
-    With ``jobs > 1`` the batch entry point
-    (:meth:`profile_requests`) fans cache misses out over worker
-    processes; see the module docstring for the execution model.
-    ``engine_spec`` (default: ``engine.to_spec()``) tells workers how
-    to rebuild the engine; ``worker_fn`` exists for fault-injection
-    tests.  Simulator invocations performed by workers are credited to
-    ``engine.run_count`` when results merge, so the engine's accounting
-    is mode-independent.
     """
 
     def __init__(self, engine: ExecutionEngine,
                  cache: Optional[ProfileCache] = None,
-                 config_fingerprint: str = "uncached",
-                 jobs: int = 1,
-                 engine_spec: Optional[Dict[str, Any]] = None,
-                 timeout_s: Optional[float] = None,
-                 retries: int = 2,
-                 progress: Optional[ProgressReporter] = None,
-                 worker_fn=None) -> None:
+                 config_fingerprint: str = "uncached") -> None:
         self.engine = engine
         self.cache = cache
         self.config_fingerprint = config_fingerprint
-        self.jobs = resolve_worker_count(jobs)
-        self.engine_spec = engine_spec
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.progress = progress
-        self.worker_fn = worker_fn
-        #: Terminal failures of the most recent batch (never aborts the
-        #: search; the affected requests yield no measurements).
-        self.failed_jobs: List[JobResult] = []
         #: Summary of the most recent :meth:`profile_requests` batch.
         self.last_stats: Dict[str, Any] = {}
 
@@ -296,37 +256,30 @@ class RegionProfiler:
         return region_fingerprint(region, "pipeline", stages=request.stages)
 
     # ------------------------------------------------------------------
-    # Batch profiling
+    # Profiling
     # ------------------------------------------------------------------
     def profile_requests(self, graph: Graph,
                          requests: Sequence[ProfileRequest],
                          ) -> List[List[RegionMeasurement]]:
-        """Measure every request; one result list per request, in order.
-
-        The canonical merge order is the request order, so callers
-        building a :class:`~repro.search.table.MeasurementTable` get
-        identical tables from serial and parallel execution.
-        """
-        requests = list(requests)
+        """Measure every request; one result list per request, in order."""
         t0 = time.perf_counter()
-        self.failed_jobs = []
-        if self.jobs <= 1:
-            jobs_run = 0
-            hits = 0
-            results: List[List[RegionMeasurement]] = []
-            for request in requests:
-                measurements, was_hit = self._profile_one(graph, request)
-                jobs_run += 0 if was_hit else 1
-                hits += 1 if was_hit else 0
-                results.append(measurements)
-            self._record_stats(requests, hits, jobs_run, 1, t0)
-            return results
-        results = self._profile_parallel(graph, requests, t0)
+        results: List[List[RegionMeasurement]] = []
+        hits = 0
+        for request in requests:
+            measurements, was_hit = self._profile_one(graph, request)
+            hits += was_hit
+            results.append(measurements)
+        self.last_stats = {
+            "requests": len(results),
+            "cache_hits": hits,
+            "simulated": len(results) - hits,
+            "wall_s": time.perf_counter() - t0,
+        }
         return results
 
     def _profile_one(self, graph: Graph, request: ProfileRequest,
                      ) -> Tuple[List[RegionMeasurement], bool]:
-        """The serial path: extract, consult cache, measure, store."""
+        """Extract, consult the cache, measure on a miss, store."""
         region = extract_subgraph(graph, request.nodes,
                                   include_weights=False)
         fp = self._fingerprint(region, request)
@@ -338,109 +291,3 @@ class RegionProfiler:
             ratios=request.ratios, stages=request.stages, fingerprint=fp)
         self._store(fp, measurements)
         return measurements, False
-
-    def _profile_parallel(self, graph: Graph,
-                          requests: List[ProfileRequest],
-                          t0: float) -> List[List[RegionMeasurement]]:
-        # Phase 1: enumerate regions and consult the cache up front.
-        prepared: List[Tuple[ProfileRequest, Graph, str]] = []
-        hit_entries: Dict[int, List[dict]] = {}
-        owner_of_fp: Dict[str, int] = {}
-        specs: List[JobSpec] = []
-        engine_spec = self.engine_spec or self.engine.to_spec()
-        dup_hits = 0
-        for i, request in enumerate(requests):
-            region = extract_subgraph(graph, request.nodes,
-                                      include_weights=False)
-            fp = self._fingerprint(region, request)
-            prepared.append((request, region, fp))
-            if fp in owner_of_fp:
-                # Duplicate structure of a pending job: it rebinds the
-                # owner's entries at merge time, which is exactly what
-                # the serial path would have served as a cache hit —
-                # count it as one so the statistics are mode-independent.
-                dup_hits += 1
-                if self.cache is not None:
-                    self.cache.hits += 1
-                continue
-            cached = self._lookup(fp)
-            if cached is not None:
-                hit_entries[i] = cached
-            else:
-                # First miss of this structure owns the job.
-                owner_of_fp[fp] = i
-                specs.append(JobSpec(
-                    job_id=len(specs), kind=request.kind, fingerprint=fp,
-                    config_fingerprint=self.config_fingerprint,
-                    region=graph_to_dict(region, include_weights=False),
-                    target=request.nodes,
-                    ratios=tuple(sorted(set(request.ratios))),
-                    stages=request.stages,
-                    engine_spec=engine_spec))
-
-        # Phase 2: fan the unique misses out across workers.
-        worker_fn = self.worker_fn
-        if worker_fn is None:
-            from repro.exec.worker import execute_job
-            worker_fn = execute_job
-        job_engine = JobEngine(
-            worker_fn, jobs=self.jobs, timeout_s=self.timeout_s,
-            retries=self.retries, progress=self.progress)
-        job_results = job_engine.run(specs, cached=len(hit_entries) + dup_hits)
-
-        # Phase 3: single-writer merge back in the parent, in canonical
-        # (submission) order — workers never write the cache.
-        entries_by_fp: Dict[str, List[dict]] = {}
-        for result in job_results:
-            if result.ok:
-                entries_by_fp[result.fingerprint] = list(result.entries)
-                self.engine.run_count += result.runs
-                if self.cache is not None:
-                    self.cache.store(self.config_fingerprint,
-                                     result.fingerprint,
-                                     list(result.entries))
-            else:
-                self.failed_jobs.append(result)
-
-        results: List[List[RegionMeasurement]] = []
-        for i, (request, _region, fp) in enumerate(prepared):
-            if i in hit_entries:
-                results.append(self._bind(hit_entries[i], request))
-            elif fp in entries_by_fp:
-                results.append(self._bind(entries_by_fp[fp], request))
-            else:
-                results.append([])  # recorded failure; search continues
-        self._record_stats(requests, len(hit_entries) + dup_hits,
-                           len(specs), self.jobs, t0)
-        return results
-
-    def _record_stats(self, requests: Sequence[ProfileRequest], hits: int,
-                      jobs_run: int, workers: int, t0: float) -> None:
-        self.last_stats = {
-            "requests": len(requests),
-            "cache_hits": hits,
-            "jobs_run": jobs_run,
-            "failed": len(self.failed_jobs),
-            "workers": workers,
-            "wall_s": time.perf_counter() - t0,
-        }
-
-    # ------------------------------------------------------------------
-    # Per-region entry points (serial semantics, shared with the batch)
-    # ------------------------------------------------------------------
-    def profile_node(self, graph: Graph, name: str,
-                     ratios: Sequence[float]) -> List[RegionMeasurement]:
-        """All split-ratio measurements for one PIM-candidate node."""
-        request = ProfileRequest("split", (name,), tuple(ratios))
-        return self._profile_one(graph, request)[0]
-
-    def profile_gpu_node(self, graph: Graph,
-                         name: str) -> List[RegionMeasurement]:
-        """The GPU-only measurement for a non-candidate node."""
-        return self._profile_one(graph, ProfileRequest("gpu", (name,)))[0]
-
-    def profile_chain(self, graph: Graph, chain: Sequence[str],
-                      stages: int) -> List[RegionMeasurement]:
-        """The pipelined measurement for a chain (empty if unsplittable)."""
-        request = ProfileRequest("pipeline", tuple(chain), stages=stages)
-        return self._profile_one(graph, request)[0]

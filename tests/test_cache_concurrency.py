@@ -1,15 +1,15 @@
 """Concurrency tests for the content-addressed profile cache.
 
-The profiler's parallel path uses a single-writer discipline: worker
-processes never touch the cache; the parent merges results back and
-stores them in canonical order (see ``Profiler._profile_parallel``).
-Readers, however, may be concurrent — the serving layer compiles
-models lazily from multiple worker threads, each consulting the same
-on-disk cache.  These tests pin down that contract: concurrent lookups
-against a live writer never observe torn entries, and repeated
-single-writer merges are idempotent.
+One cache directory may have several writers: threads of one process
+(the serving layer compiles models lazily from its worker threads,
+each compiler with its own cache on the same directory) and separate
+processes.  These tests pin down that contract: concurrent lookups
+against a live writer never observe torn entries, concurrent stores
+of the same key never fail and leave a whole entry, and repeated
+stores are idempotent.
 """
 
+import sys
 import threading
 
 from repro.models import build_model
@@ -62,6 +62,41 @@ class TestConcurrentReaders:
             t.join()
         assert not errors
         assert cache.num_entries == len(fps)
+
+    def test_threads_storing_one_key_never_collide(self, tmp_path):
+        """Threads storing the same fingerprint each write their own
+        temp file; no store raises and the entry reads back whole."""
+        cache = ProfileCache(tmp_path)
+        errors = []
+        start = threading.Barrier(4)
+
+        def writer(idx):
+            start.wait()
+            try:
+                for _ in range(300):
+                    cache.store("cfg", "samefp", _entry(f"n{idx}", 1.0))
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(i,))
+                   for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        got = cache.lookup("cfg", "samefp")
+        assert got is not None and len(got) == 1
+        assert got[0]["start"] in {f"n{i}" for i in range(4)}
+        assert got[0]["time_us"] == 1.0
+        assert cache.num_entries == 1
+        assert not list(tmp_path.glob("objects/*/*.tmp"))
 
     def test_concurrent_lookup_stats_are_conserved(self, tmp_path):
         """Hit/miss counters under pure concurrent reads add up."""

@@ -1,8 +1,7 @@
 """Tests for the artifact-style CLI."""
 
 import json
-
-import pytest
+import re
 
 from repro.cli import POLICIES, _preprocess_argv, main
 
@@ -231,6 +230,24 @@ class TestPassObservability:
         assert main(["-m=solve"] + base) == 0
         out = capsys.readouterr().out
         assert "[compile]" in out and "apply_decisions" in out
+
+    def test_profile_prints_summary_line(self, tmp_path, capsys):
+        assert main(["-m=profile", "-t=split", "-n=toy",
+                     f"--workdir={tmp_path}"]) == 0
+        captured = capsys.readouterr()
+        (line,) = [ln for ln in captured.out.splitlines()
+                   if ln.startswith("[profile]")]
+        assert re.fullmatch(r"\[profile\] \d+ candidates, \d+ requests, "
+                            r"\d+ simulated, \d+ cache hits, \d+\.\d\ds",
+                            line), line
+        assert captured.err == ""
+
+    def test_solve_prints_phase_line(self, tmp_path, capsys):
+        base = ["-n=toy", f"--workdir={tmp_path}"]
+        assert main(["-m=profile", "-t=split"] + base) == 0
+        assert main(["-m=profile", "-t=pipeline"] + base) == 0
+        assert main(["-m=solve"] + base) == 0
+        assert "[solve]" in capsys.readouterr().out
 
 
 def _makespan(line):

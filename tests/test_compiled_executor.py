@@ -175,7 +175,7 @@ class TestStackWiring:
         from repro.plan.artifact import ExecutionPlan
         from repro.runtime.executor import PlanExecutor
 
-        flow = PimFlow(PimFlowConfig(mechanism="pimflow", jobs=1))
+        flow = PimFlow(PimFlowConfig(mechanism="pimflow"))
         plan = flow.build_plan(build_model("toy"), model_name="toy")
         assert plan.buffer_plan["arena_bytes"] > 0
 

@@ -197,7 +197,7 @@ class TestShardPolicy:
 
     @pytest.mark.parametrize("raw", ["x", "-1", "2.5"])
     def test_from_env_ignores_garbage(self, monkeypatch, raw):
-        # Like REPRO_JOBS/REPRO_HOST_WORKERS: a broken env var never
+        # Like REPRO_HOST_WORKERS: a broken env var never
         # aborts an inference; it falls back to the default policy.
         monkeypatch.setenv("REPRO_GEMM_SHARDS", raw)
         assert ShardPolicy.from_env() == ShardPolicy()

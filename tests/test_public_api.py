@@ -11,7 +11,7 @@ SUBPACKAGES = [
     "repro.graph", "repro.models", "repro.lowering", "repro.pim",
     "repro.gpu", "repro.dram", "repro.memsys", "repro.transform",
     "repro.search", "repro.codegen", "repro.runtime", "repro.energy",
-    "repro.analysis", "repro.exec",
+    "repro.analysis",
 ]
 
 

@@ -1,10 +1,15 @@
 """Tests for region extraction and profiling."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.gpu.device import GpuDevice
+from repro.models import build_model
 from repro.pim.device import PimDevice
+from repro.pimflow import Compiler, PimFlowConfig
+from repro.plan.cache import ProfileCache
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.numerical import execute
 from repro.search.profiler import (
@@ -127,3 +132,51 @@ class TestProfileGpu:
         assert t > 0
         single = profile_gpu(pointwise_chain_graph, ["pw1"], engine)
         assert t > single
+
+
+def _profile_toy(cache=None):
+    compiler = Compiler(PimFlowConfig(mechanism="pimflow"), cache=cache)
+    table = compiler.profile(compiler.prepare(build_model("toy")))
+    return compiler, table
+
+
+class TestRegionProfiler:
+    def test_summary_counts_every_request(self):
+        compiler, table = _profile_toy()
+        summary = compiler.last_profile_summary
+        assert set(summary) == {"candidates", "samples", "requests",
+                                "cache_hits", "simulated", "wall_s"}
+        assert summary["samples"] == len(table)
+        assert summary["candidates"] > 0
+        assert summary["simulated"] > 0
+        assert summary["simulated"] + summary["cache_hits"] == \
+            summary["requests"]
+        assert summary["wall_s"] > 0
+
+    def test_cold_compile_serves_structural_duplicates(self, tmp_path):
+        compiler, _ = _profile_toy(ProfileCache(tmp_path / "cache"))
+        hits = compiler.cache.stats()["hits"]
+        assert hits > 0
+        assert compiler.last_profile_summary["cache_hits"] == hits
+
+    def test_warm_disk_cache_runs_no_simulator(self, tmp_path):
+        _, cold = _profile_toy(ProfileCache(tmp_path / "cache"))
+        warm_compiler, warm = _profile_toy(ProfileCache(tmp_path / "cache"))
+        assert warm.to_dict() == cold.to_dict()
+        assert warm_compiler.engine.run_count == 0
+        assert warm_compiler.last_profile_summary["simulated"] == 0
+
+    def test_repeat_compiles_build_identical_plans(self):
+        model = build_model("toy")
+
+        def plan_json():
+            plan = Compiler(PimFlowConfig()).build_plan(model,
+                                                        model_name="toy")
+            data = plan.to_dict()
+            data["provenance"].pop("created_at")
+            # wall-clock per-pass timings are provenance, not structure
+            for record in data["provenance"].get("passes", []):
+                record.pop("wall_ms")
+            return json.dumps(data, sort_keys=True)
+
+        assert plan_json() == plan_json()

@@ -11,13 +11,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.exec.job import JobSpec
-from repro.exec.worker import execute_job
 from repro.graph import GraphBuilder, GraphError, is_shape_only, shape_only
-from repro.graph.serialize import graph_to_dict
 from repro.models import build_model, list_models
 from repro.pimflow import Compiler, PimFlowConfig
 from repro.search.profiler import (
+    ProfileRequest,
     RegionProfiler,
     extract_subgraph,
     measure_region,
@@ -119,29 +117,10 @@ class TestProfilingMemory:
         profiler = RegionProfiler(compiler.engine)
         tracemalloc.start()
         try:
-            samples = profiler.profile_node(graph, nodes[0], ratios)
+            (samples,) = profiler.profile_requests(
+                graph, [ProfileRequest("split", nodes, ratios)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert any(m.mode == "split" for m in samples)
-        assert peak < PEAK_LIMIT_BYTES, peak
-
-    def test_worker_job_materializes_no_weights(self):
-        graph = _big_fc()
-        compiler = Compiler(PimFlowConfig(mechanism="pimflow"))
-        nodes, ratios = self._split_request(compiler)
-        region = extract_subgraph(graph, nodes, include_weights=False)
-        spec = JobSpec(job_id=0, kind="split", fingerprint="fp",
-                       config_fingerprint="cfg",
-                       region=graph_to_dict(region, include_weights=False),
-                       target=nodes, ratios=ratios,
-                       engine_spec=compiler.runtime_spec())
-        execute_job(spec)  # builds the worker's engine outside the trace
-        tracemalloc.start()
-        try:
-            result = execute_job(spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert any(e["mode"] == "split" for e in result.entries)
         assert peak < PEAK_LIMIT_BYTES, peak
