@@ -30,21 +30,8 @@ noise):
   ``PimFlow.compile`` on a fresh toolchain (cold: nothing memoized)
   and a second compile on the same toolchain (repeat: measurement memo
   and cost caches warm).
-* ``numerical.<model>.compiled_batch8_ms`` / ``parallel_ms`` —
-  compiled repeat inference at batch 8, serial vs the operator-parallel
-  scheduler at 4 workers (same executable API, ``workers=4``, intra-op
-  GEMM sharding pinned off so the metric keeps measuring *operator*
-  parallelism).  The parallel schedule is byte-identical to serial; the
-  delta is pure host-threading yield, so on a single-core runner the
-  two track each other and on multi-core the branchy models
-  (shufflenet) pull ahead.
-* ``numerical.<model>.gemmpar_ms`` / ``gemmpar_batch8_ms`` — the same
-  4-worker compiled inference with the full default policy: operator
-  parallelism *plus* intra-op row-panel GEMM sharding
-  (:mod:`repro.runtime.gemmpar`).  Byte-identical to serial; the delta
-  over ``parallel_ms`` is what sharding the dominant GEMM steps buys,
-  which — like ``host_win`` — is bounded by physical cores (~1x on a
-  1-core runner).
+* ``numerical.<model>.compiled_batch8_ms`` — compiled repeat
+  inference at batch 8 in the executor's default configuration.
 * ``serve.<model>.batch1_rps`` / ``dynamic_rps`` / ``win`` — modelled
   device throughput of the serving layer's A/B (per-request batch-1 vs
   dynamic micro-batching at max-batch 8 on the GPU-baseline plan), and
@@ -105,7 +92,6 @@ def bench_numerical(model: str, batches: Iterable[int],
     """Time the numpy executor on one model at each batch size."""
     from repro.models.registry import build_model
     from repro.runtime.compiled import CompiledExecutable
-    from repro.runtime.gemmpar import ShardPolicy
     from repro.runtime.numerical import execute
 
     graph = build_model(model)
@@ -147,32 +133,11 @@ def bench_numerical(model: str, batches: Iterable[int],
                 lambda: CompiledExecutable(graph, fuse=False).run(feeds))
             metrics[f"numerical.{model}.fused_peak_mb"] = _peak_mb(
                 lambda: CompiledExecutable(graph).run(feeds))
-            # Full default policy at 4 workers: operator parallelism
-            # plus intra-op GEMM row-panel sharding.
-            exe_gp = CompiledExecutable(graph, workers=4)
-            exe_gp.run(feeds)
-            metrics[f"numerical.{model}.gemmpar_ms"] = _best_of(
-                lambda: exe_gp.run(feeds), rounds)
         elif batch >= 4:
-            # Operator-parallel scheduler A/B at the batch size where
-            # batch sharding engages.  All paths are byte-identical to
-            # the interpreted oracle; the delta is host threading.
-            # ``parallel_ms`` pins GEMM sharding off so it keeps
-            # measuring operator parallelism alone; ``gemmpar_ms`` adds
-            # the intra-op row-panel shards on top.
-            exe_serial = CompiledExecutable(graph, workers=1)
-            exe_serial.run(feeds)
+            exe_batch = CompiledExecutable(graph)
+            exe_batch.run(feeds)
             metrics[f"numerical.{model}.compiled_batch{batch}_ms"] = \
-                _best_of(lambda: exe_serial.run(feeds), rounds)
-            exe_par = CompiledExecutable(graph, workers=4,
-                                         policy=ShardPolicy(gemm_shards=1))
-            exe_par.run(feeds)
-            metrics[f"numerical.{model}.parallel_ms"] = _best_of(
-                lambda: exe_par.run(feeds), rounds)
-            exe_gp = CompiledExecutable(graph, workers=4)
-            exe_gp.run(feeds)
-            metrics[f"numerical.{model}.gemmpar_batch{batch}_ms"] = \
-                _best_of(lambda: exe_gp.run(feeds), rounds)
+                _best_of(lambda: exe_batch.run(feeds), rounds)
     return metrics
 
 

@@ -94,11 +94,10 @@ def _preprocess_argv(argv: List[str]) -> List[str]:
     return out
 
 
-def _count_arg(value: str) -> int:
+def _positive_int(value: str) -> int:
     count = int(value)
-    if count < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (0 = one per CPU core), got {count}")
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
     return count
 
 
@@ -165,36 +164,23 @@ def _build_parser() -> argparse.ArgumentParser:
                              "inference through the buffer-planned compiled "
                              "executor (--no-compiled falls back to the "
                              "interpreted reference executor)")
-    parser.add_argument("--host-workers", dest="host_workers",
-                        type=_count_arg, default=None,
-                        help="operator-parallel threads inside each host "
-                             "inference: 1 = serial (default), N = dispatch "
-                             "up to N ready steps at once, 0 = one per CPU "
-                             "core; the REPRO_HOST_WORKERS environment "
-                             "variable sets the default")
-    parser.add_argument("--gemm-shards", dest="gemm_shards",
-                        type=_count_arg, default=None,
-                        help="intra-operator GEMM row-panel shards per "
-                             "conv/matmul step (default: follow "
-                             "--host-workers; 1 = off, 0 = one per CPU "
-                             "core, N = force up to N panels); the "
-                             "REPRO_GEMM_SHARDS environment variable sets "
-                             "the default")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable JSON output (stat, serve, "
                              "bench-serve)")
     serve = parser.add_argument_group("serving (-m=serve / -m=bench-serve)")
-    serve.add_argument("--max-batch", dest="max_batch", type=int, default=8,
+    serve.add_argument("--max-batch", dest="max_batch", type=_positive_int,
+                       default=8,
                        help="micro-batch size cap (default %(default)s)")
     serve.add_argument("--max-wait-ms", dest="max_wait_ms", type=float,
                        default=None,
                        help="batching linger from the batch head's arrival "
                             "(default: 2 ms for serve, 50 ms for "
                             "bench-serve)")
-    serve.add_argument("--serve-workers", dest="serve_workers", type=int,
-                       default=2, help="worker threads (default %(default)s)")
-    serve.add_argument("--queue-depth", dest="queue_depth", type=int,
-                       default=64,
+    serve.add_argument("--serve-workers", dest="serve_workers",
+                       type=_positive_int, default=2,
+                       help="worker threads (default %(default)s)")
+    serve.add_argument("--queue-depth", dest="queue_depth",
+                       type=_positive_int, default=64,
                        help="bounded admission queue depth; requests beyond "
                             "it are shed with a typed Overloaded rejection "
                             "(default %(default)s)")
@@ -213,13 +199,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="per-request deadline; requests not started "
                             "within it fail with DeadlineExceeded")
-    serve.add_argument("--threads", dest="host_threads", type=_count_arg,
-                       default=None,
-                       help="serving alias for --host-workers: "
-                            "operator-parallel threads inside each host "
-                            "inference executed by a server worker")
-    serve.add_argument("--host-states", dest="host_states", type=int,
-                       default=None,
+    serve.add_argument("--host-states", dest="host_states",
+                       type=_positive_int, default=None,
                        help="pooled execution states per compiled program "
                             "(bounds concurrent arenas; default 4)")
     return parser
@@ -392,22 +373,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         # compiled executor (or the interpreter with --no-compiled).
         # Printed before the schedule line: scripts parse the final
         # line for the makespan.
-        from repro.runtime.hostpool import resolve_host_workers
         from repro.runtime.verify import random_feeds
         feeds = random_feeds(plan.graph, seed=0)
-        workers = resolve_host_workers(args.host_workers)
         mode = "compiled" if args.compiled else "interpreted"
-        if args.compiled and workers > 1:
-            mode += f", {workers} workers"
         start = time.perf_counter()
-        executor.infer(feeds, compiled=args.compiled,
-                       workers=args.host_workers,
-                       gemm_shards=args.gemm_shards)
+        executor.infer(feeds, compiled=args.compiled)
         first_ms = (time.perf_counter() - start) * 1e3
         start = time.perf_counter()
-        executor.infer(feeds, compiled=args.compiled,
-                       workers=args.host_workers,
-                       gemm_shards=args.gemm_shards)
+        executor.infer(feeds, compiled=args.compiled)
         repeat_ms = (time.perf_counter() - start) * 1e3
         stats = executor.buffer_stats()
         print(f"host exec [{mode}]: first {first_ms:.1f} ms, "
@@ -512,7 +485,7 @@ def _stat_plan(args: argparse.Namespace) -> int:
         print(f"cannot load plan {args.plan}: {exc}", file=sys.stderr)
         return 2
     info = plan.summary()
-    profile, node_rows = _plan_step_profile(plan, args.gemm_shards)
+    profile, node_rows = _plan_step_profile(plan)
     if args.json:
         print(json.dumps({
             "summary": info,
@@ -545,40 +518,33 @@ def _stat_plan(args: argparse.Namespace) -> int:
                   f"{row['ms'] / total * 100:>7.1f}%")
     if node_rows:
         print(f"Slowest nodes (top {min(10, len(node_rows))} of "
-              f"{len(node_rows)}, per-shard ms):")
-        print(f"  {'node':<28}{'kind':<12}{'shards':>7}{'ms':>9}"
-              f"  per-shard")
+              f"{len(node_rows)}):")
+        print(f"  {'node':<28}{'kind':<12}{'ms':>9}")
         for row in node_rows[:10]:
-            per = "/".join(f"{ms:.2f}" for ms in row["shard_ms"])
             name = row["node"]
             if len(name) > 27:
                 name = name[:24] + "..."
-            print(f"  {name:<28}{row['kind']:<12}{row['shards']:>7}"
-                  f"{row['ms']:>9.3f}  {per}")
+            print(f"  {name:<28}{row['kind']:<12}{row['ms']:>9.3f}")
         if len(node_rows) > 10:
             rest = sum(r["ms"] for r in node_rows[10:])
             print(f"  ... {len(node_rows) - 10} more nodes, {rest:.3f} ms")
     return 0
 
 
-def _plan_step_profile(plan, gemm_shards=None):
+def _plan_step_profile(plan):
     """Wall-clock breakdown of one compiled inference.
 
     Binds the plan's graph into a fresh compiled executable and times
     every step, bucketed by kernel class (gemm, dwconv, fused,
-    elementwise, copy, other), plus every node's time, slowest first,
-    split per shard for intra-op sharded steps (``--gemm-shards`` /
-    ``REPRO_GEMM_SHARDS``; unsharded nodes have one shard).  Returns
-    ``({}, [])`` when the graph cannot be bound (e.g. an op with no
-    numpy kernel).
+    elementwise, copy, other), plus every node's time, slowest first.
+    Returns ``({}, [])`` when the graph cannot be bound (e.g. an op
+    with no numpy kernel).
     """
     from repro.runtime.compiled import CompiledExecutable
-    from repro.runtime.gemmpar import ShardPolicy
     from repro.runtime.verify import random_feeds
 
     try:
-        policy = ShardPolicy.from_env().with_gemm_shards(gemm_shards)
-        exe = CompiledExecutable(plan.graph, policy=policy)
+        exe = CompiledExecutable(plan.graph)
         feeds = random_feeds(plan.graph, seed=0)
         return exe.step_profile(feeds, rounds=2, detail=True)
     except Exception:  # pragma: no cover - diagnostic best-effort
@@ -665,14 +631,11 @@ def cmd_serve(args: argparse.Namespace, nets: List[str]) -> int:
         for net in nets:
             repo.register_model(net, config=_config(args, mechanism))
     max_wait = args.max_wait_ms if args.max_wait_ms is not None else 2.0
-    host_workers = args.host_threads if args.host_threads is not None \
-        else args.host_workers
     server = InferenceServer(repo, ServerConfig(
         workers=args.serve_workers, queue_depth=args.queue_depth,
         max_batch_size=args.max_batch, max_wait_ms=max_wait,
         default_deadline_ms=args.deadline_ms,
-        host_workers=host_workers, host_states=args.host_states,
-        gemm_shards=args.gemm_shards))
+        host_states=args.host_states))
     results = []
     with server:
         for net in nets:
@@ -713,14 +676,12 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
     # serving plan is the GPU baseline, where batching recovers SIMT
     # utilization.  --policy serves the chosen mechanism's plan instead.
     mechanism = POLICIES[args.policy] if args.policy else "gpu"
-    host_workers = args.host_threads if args.host_threads is not None \
-        else args.host_workers
     report = bench_serve(
         model=args.net, mechanism=mechanism, max_batch=args.max_batch,
         clients=args.clients, requests_per_client=args.requests,
         workers=args.serve_workers,
         max_wait_ms=args.max_wait_ms if args.max_wait_ms is not None else 50.0,
-        host_workers=host_workers, host_states=args.host_states,
+        host_states=args.host_states,
         progress=lambda msg: print(msg, file=sys.stderr))
     if args.json:
         print(json.dumps(report, indent=2))

@@ -116,24 +116,6 @@ class PimFlowConfig:
     #: them instead of re-running the simulators.  Set False to force
     #: every profile through the simulators (e.g. when timing them).
     memoize: bool = True
-    #: Host inference workers: the operator-parallel dispatch width
-    #: inside each compiled run (1 = serial, the historical behaviour;
-    #: 0 = one per CPU core).  None defers to the
-    #: ``REPRO_HOST_WORKERS`` environment variable (default 1).  The
-    #: parallel schedule is byte-identical to serial — hazard edges
-    #: derived from the buffer plan keep every conflicting access in
-    #: program order — so this knob does not participate in the
-    #: configuration fingerprint.
-    host_workers: Optional[int] = None
-    #: Intra-operator GEMM shard cap: how many row panels a single
-    #: conv/matmul step may split into on the host pool (None = follow
-    #: ``host_workers``; 0 = one per CPU core; 1 = off; N > 1 = force).
-    #: Defers to the ``REPRO_GEMM_SHARDS`` environment variable when
-    #: unset.  Row-panel splits are byte-identical to the serial kernel
-    #: (see :class:`repro.runtime.gemmpar.ShardPolicy` for the floors
-    #: that guarantee it), so — like ``host_workers`` — this knob does
-    #: not participate in the configuration fingerprint.
-    gemm_shards: Optional[int] = None
     #: Front-end pass pipeline run by ``prepare`` (registered pass
     #: names); empty = the standard TVM-style front end
     #: (:data:`repro.transform.passes.PREPARE_PASSES`).  Participates in
@@ -158,19 +140,6 @@ class PimFlowConfig:
             raise ValueError(
                 f"unknown mechanism {self.mechanism!r}; "
                 f"choose from {sorted(MECHANISMS)}")
-
-    def resolved_host_workers(self) -> int:
-        """Effective host inference worker count (see
-        :func:`repro.runtime.hostpool.resolve_host_workers`)."""
-        from repro.runtime.hostpool import resolve_host_workers
-        return resolve_host_workers(self.host_workers)
-
-    def shard_policy(self):
-        """The :class:`~repro.runtime.gemmpar.ShardPolicy` this config
-        implies: the environment default with ``gemm_shards`` applied
-        on top when set."""
-        from repro.runtime.gemmpar import ShardPolicy
-        return ShardPolicy.from_env().with_gemm_shards(self.gemm_shards)
 
     @property
     def spec(self) -> MechanismSpec:

@@ -7,18 +7,7 @@ from repro.runtime.bufferplan import BufferPlan, plan_buffers
 from repro.runtime.compiled import CompiledExecutable, ExecutionState
 from repro.runtime.engine import ExecutionEngine, ScheduleEvent, RunResult
 from repro.runtime.executor import PlanExecutor, engine_from_spec
-from repro.runtime.gemmpar import (
-    ShardPolicy,
-    conv_row_segments,
-    panel_matmul,
-    plan_row_panels,
-)
-from repro.runtime.hostpool import (
-    StatePool,
-    StatePoolTimeout,
-    host_executor,
-    resolve_host_workers,
-)
+from repro.runtime.hostpool import StatePool, StatePoolTimeout
 from repro.runtime.verify import EquivalenceError, random_feeds, verify_equivalence
 
 __all__ = [
@@ -33,14 +22,8 @@ __all__ = [
     "RunResult",
     "PlanExecutor",
     "engine_from_spec",
-    "ShardPolicy",
-    "conv_row_segments",
-    "panel_matmul",
-    "plan_row_panels",
     "StatePool",
     "StatePoolTimeout",
-    "host_executor",
-    "resolve_host_workers",
     "EquivalenceError",
     "random_feeds",
     "verify_equivalence",

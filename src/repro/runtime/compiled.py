@@ -3,37 +3,21 @@
 The module splits repeat inference into two halves:
 
 * :class:`_ProgramSpec` — the immutable **program**: buffer plan, run
-  shapes, read-only float32 weights, prepared kernel operands
-  (contiguous weight reshapes, BatchNorm denominators), and the step
-  dependency graph.  One spec is shared by every concurrent run.
+  shapes, read-only float32 weights and prepared kernel operands
+  (contiguous weight reshapes, BatchNorm denominators).  One spec is
+  shared by every concurrent run.
 * :class:`ExecutionState` — the cheap per-run half: one arena, one
   scratch holder, and the node closures bound against *this* state's
   arena views.  States are pooled (:class:`~repro.runtime.hostpool.
   StatePool`), so N server workers execute truly concurrently with no
-  global run lock — the serialization the old single-arena design
-  imposed is gone from the steady state.
+  global run lock; each state runs its steps serially, one run at a
+  time, and BLAS owns the cores inside each GEMM.
 
 Per run there is no toposort, no dict lookup, no attribute parsing,
 and (for planned tensors) no allocation: every tensor's bytes live at
 a fixed offset of the state's arena, elided Slice/Concat/Pad nodes
 from :mod:`repro.transform.memopt` cost nothing, and convolutions read
 pre-padded arena views instead of calling ``np.pad`` per invocation.
-
-**Operator-parallel scheduling.**  With ``workers > 1`` a state also
-carries a dependency-counted step graph and dispatches ready steps
-onto the shared host thread pool.  Correctness needs more than
-dataflow edges: the arena packs lifetime-disjoint buffers into the
-same bytes, so the graph also carries WAR/WAW hazard edges computed
-from the buffer plan (exact rectangle intersection within a root,
-arena-extent intersection across roots).  Every pair of conflicting
-accesses keeps its serial order, which is what makes the parallel
-schedule *byte-identical* to serial execution.  Batch-shardable steps
-(depthwise convolutions, BatchNormalization, fused/standalone
-elementwise ops — all pure per-element ufunc pipelines) are split into
-per-batch-slice sub-steps at batch >= 4 so a single wide node can
-occupy several workers; GEMM-backed steps are never sharded, because
-BLAS kernel selection depends on the operand shapes and splitting the
-M dimension could change the floating-point reduction it runs.
 
 **Elementwise fusion.**  By default the executable applies the
 ``fuse_elementwise`` pass to its graph before binding
@@ -50,13 +34,12 @@ reshape is expressible as a view, and otherwise collapses to a single
 vectorized gather into scratch.
 
 Semantics contract: outputs are **byte-identical** to the interpreted
-:func:`repro.runtime.numerical.execute` oracle, serial or parallel,
-fused or unfused.  Every specialized closure re-expresses the
-interpreter's exact floating-point op sequence (same ufuncs, same
-operand order, same GEMM operands) with the destination redirected
-into the arena; anything without a proven bit-identical specialization
-falls back to calling the registered kernel and copying the result
-into place.
+:func:`repro.runtime.numerical.execute` oracle, fused or unfused.
+Every specialized closure re-expresses the interpreter's exact
+floating-point op sequence (same ufuncs, same operand order, same GEMM
+operands) with the destination redirected into the arena; anything
+without a proven bit-identical specialization falls back to calling
+the registered kernel and copying the result into place.
 """
 
 from __future__ import annotations
@@ -64,8 +47,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections import deque
-from queue import Empty, SimpleQueue
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -73,19 +54,7 @@ import numpy as np
 from repro.graph.graph import Graph
 from repro.graph.node import Node
 from repro.runtime.bufferplan import BufferPlan, plan_buffers
-from repro.runtime.gemmpar import (
-    DEFAULT_SHARD_MIN_BATCH,
-    ShardPolicy,
-    conv_row_segments,
-    plan_row_panels,
-    shard_ranges as _shard_ranges,
-)
-from repro.runtime.hostpool import (
-    DEFAULT_MAX_STATES,
-    StatePool,
-    host_executor,
-    resolve_host_workers,
-)
+from repro.runtime.hostpool import DEFAULT_MAX_STATES, StatePool
 from repro.runtime.numerical import (
     IM2COL_MAX_ELEMENTS,
     KERNELS,
@@ -98,17 +67,18 @@ from repro.runtime.numerical import (
     stable_silu,
 )
 
-#: Backwards-compatible alias: the batch-shard floor now lives on
-#: :class:`~repro.runtime.gemmpar.ShardPolicy` (``shard_min_batch``),
-#: the single knob surface for every intra-run sharding decision.
-SHARD_MIN_BATCH = DEFAULT_SHARD_MIN_BATCH
-
 #: Float32 elements per fused-expression scratch tile (256 KB): small
 #: enough that a handful of live tiles sit in L2 while the fused sweep
 #: streams over the output, large enough that per-tile Python dispatch
 #: is noise.  Per-element ufuncs are tiling-invariant, so the tile size
 #: never affects the bytes produced.
 TILE_ELEMENTS = 64 * 1024
+
+#: Standalone elementwise ops bound through
+#: :func:`~repro.runtime.numerical.compile_elementwise` into one
+#: in-place step; the rest (Gelu, Erf) go through the generic kernel.
+_ELEMENTWISE_OPS = frozenset((
+    "Relu", "Tanh", "Sigmoid", "Silu", "Add", "Mul", "Sub", "Div", "Clip"))
 
 #: Operand positions of a fused elementwise kernel that may exactly
 #: alias its ``out=`` buffer: the kernel never re-reads the operand
@@ -122,19 +92,18 @@ _FUSED_ALIAS_SAFE = {
 
 
 class _Scratch:
-    """Per-thread scratch pools, sized during bind, allocated lazily.
+    """Per-state scratch pools, sized during bind, allocated lazily.
 
     Closures capture this holder and request shaped views at call time
     (``a``: im2col columns / contiguous input staging, ``b``: staged
     conv GEMM output, or one cache-sized band of depthwise tap
-    products).  Buffers are thread-local: under the operator-parallel
-    scheduler several steps (or batch shards of one step) run
-    concurrently on pool threads and each must stage into private
-    memory.  Sizes are frozen once binding completes; each thread then
-    allocates its buffers once, on first use.
+    products).  The pool checks a state out to one run at a time and a
+    run executes its steps serially, so one pair of buffers per state
+    serves every step.  Sizes are frozen once binding completes; the
+    buffers are allocated once, on first use.
     """
 
-    __slots__ = ("need_a", "need_b", "need_slot", "num_slots", "_tls")
+    __slots__ = ("need_a", "need_b", "need_slot", "num_slots", "a", "b")
 
     def __init__(self) -> None:
         self.need_a = 0
@@ -144,17 +113,17 @@ class _Scratch:
         #: fused group's intermediates stay hot in cache.
         self.need_slot = 0
         self.num_slots = 0
-        self._tls = threading.local()
+        self.a: Optional[np.ndarray] = None
+        self.b: Optional[np.ndarray] = None
 
     def _pool_a(self) -> np.ndarray:
-        # The ``a`` pool doubles as the fused-slot block: a thread runs
-        # one step at a time, and no single step stages im2col columns
-        # *and* fused-tile intermediates, so the two uses never overlap
-        # within a thread.
+        # The ``a`` pool doubles as the fused-slot block: no single
+        # step stages im2col columns *and* fused-tile intermediates,
+        # so the two uses never overlap.
         need = max(self.need_a, self.need_slot * self.num_slots)
-        buf = getattr(self._tls, "a", None)
+        buf = self.a
         if buf is None or buf.size < need:
-            buf = self._tls.a = np.empty(need, dtype=np.float32)
+            buf = self.a = np.empty(need, dtype=np.float32)
         return buf
 
     def view_a(self, shape: Tuple[int, ...]) -> np.ndarray:
@@ -165,9 +134,9 @@ class _Scratch:
         return buf[:n].reshape(shape)
 
     def view_b(self, shape: Tuple[int, ...]) -> np.ndarray:
-        buf = getattr(self._tls, "b", None)
+        buf = self.b
         if buf is None or buf.size < self.need_b:
-            buf = self._tls.b = np.empty(self.need_b, dtype=np.float32)
+            buf = self.b = np.empty(self.need_b, dtype=np.float32)
         n = 1
         for d in shape:
             n *= d
@@ -363,121 +332,13 @@ def _depthwise_bands(xp: np.ndarray, dst: np.ndarray, scratch: "_Scratch",
             act(db)
 
 
-def _graph_width(dep_counts: List[int],
-                 dependents: List[List[int]]) -> int:
-    """Max antichain size of the BFS layering of the step graph.
-
-    A cheap proxy for how much operator parallelism the hazard graph
-    actually exposes: chain-shaped programs measure 1, and dispatching
-    them through the parallel scheduler is pure overhead.
-    """
-    counts = list(dep_counts)
-    level = [i for i, c in enumerate(counts) if c == 0]
-    width = 1 if level else 0
-    while level:
-        width = max(width, len(level))
-        nxt: List[int] = []
-        for i in level:
-            for j in dependents[i]:
-                counts[j] -= 1
-                if counts[j] == 0:
-                    nxt.append(j)
-        level = nxt
-    return width
-
-
-# ----------------------------------------------------------------------
-# Step access regions and the hazard-edged dependency graph
-# ----------------------------------------------------------------------
-# A region is (kind, key, box): kind "arena" keys a buffer-plan root
-# (key None = unknown storage, conservatively conflicting with every
-# arena region), kind "priv" keys a state-private buffer by tensor
-# name.  box is a per-dimension (start, stop) rectangle inside the
-# keyed buffer, or None for the whole buffer.
-_Region = Tuple[str, Optional[str], Optional[Tuple[Tuple[int, int], ...]]]
-
-
-def _boxes_overlap(a, b) -> bool:
-    if a is None or b is None:
-        return True
-    if len(a) != len(b):
-        return True  # rank mismatch: be conservative
-    return all(s1 < e2 and s2 < e1 for (s1, e1), (s2, e2) in zip(a, b))
-
-
-def _build_step_graph(accesses, plan: BufferPlan):
-    """Dependency counts + dependents for the operator-parallel run.
-
-    For steps i < j (their serial/topological order), an edge i -> j is
-    added whenever the two touch overlapping memory and at least one
-    writes — RAW, WAR, and WAW all collapse to "conflicting accesses
-    keep serial order", which is exactly the condition under which any
-    dependency-respecting parallel order is byte-identical to serial.
-    Same-root accesses compare exact rectangles (so concat siblings
-    co-allocated into one root stay parallel); different roots conflict
-    iff the first-fit packer overlapped their arena extents (lifetime
-    reuse), in which case all their accesses serialize.
-    """
-    per_key: Dict[Tuple[str, Optional[str]], List[tuple]] = {}
-    for idx, (reads, writes) in enumerate(accesses):
-        for kind, key, box in reads:
-            per_key.setdefault((kind, key), []).append((idx, box, False))
-        for kind, key, box in writes:
-            per_key.setdefault((kind, key), []).append((idx, box, True))
-
-    edges = set()
-    for entries in per_key.values():
-        for x in range(len(entries)):
-            i, bi, wi = entries[x]
-            for y in range(x + 1, len(entries)):
-                j, bj, wj = entries[y]
-                if i == j or not (wi or wj):
-                    continue
-                if _boxes_overlap(bi, bj):
-                    edges.add((i, j) if i < j else (j, i))
-
-    # Cross-root hazards: arena extents that the packer overlapped.
-    spans: List[Tuple[Tuple[int, int], Tuple[str, Optional[str]]]] = []
-    for kind_key in per_key:
-        kind, key = kind_key
-        if kind != "arena":
-            continue
-        if key is None:
-            spans.append(((0, max(1, plan.arena_elements)), kind_key))
-            continue
-        alloc = plan.roots.get(key)
-        if alloc is not None and alloc.arena_offset >= 0:
-            spans.append(((alloc.arena_offset,
-                           alloc.arena_offset + alloc.elements), kind_key))
-    spans.sort(key=lambda item: item[0])
-    for a in range(len(spans)):
-        (s1, e1), ka = spans[a]
-        for b in range(a + 1, len(spans)):
-            (s2, e2), kb = spans[b]
-            if s2 >= e1:
-                break
-            for i, _, wi in per_key[ka]:
-                for j, _, wj in per_key[kb]:
-                    if i == j or not (wi or wj):
-                        continue
-                    edges.add((i, j) if i < j else (j, i))
-
-    dep_counts = [0] * len(accesses)
-    dependents: List[List[int]] = [[] for _ in accesses]
-    for i, j in sorted(edges):
-        dependents[i].append(j)
-        dep_counts[j] += 1
-    return dep_counts, dependents
-
-
 class _ProgramSpec:
     """The immutable compiled program for one set of feed shapes.
 
     Holds everything concurrent states share read-only: the graph, the
-    resolved run shapes, the buffer plan, float32 weights, prepared
-    kernel operands, and (once the first parallel state binds) the
-    hazard-edged step dependency graph.  Specs never touch an arena —
-    that is the state's job.
+    resolved run shapes, the buffer plan, float32 weights and prepared
+    kernel operands.  Specs never touch an arena — that is the state's
+    job.
     """
 
     def __init__(self, graph: Graph, shapes: Dict[str, tuple],
@@ -489,14 +350,10 @@ class _ProgramSpec:
         self.inits = graph_initializers_f32(graph)
         self._lock = threading.Lock()
         self._prepared: Dict[tuple, np.ndarray] = {}
-        self._step_graphs: Dict[int, tuple] = {}
         #: Step count per kind ("gemm", "dwconv", "elementwise",
         #: "fused", "copy", "other"), recorded by the first state to
         #: bind; binding is deterministic, so every state agrees.
         self.step_kind_counts: Optional[Dict[str, int]] = None
-        #: Node name -> sub-step count for intra-op sharded steps
-        #: (GEMM row panels), recorded by the first state to bind.
-        self.shard_fanout: Optional[Dict[str, int]] = None
         #: Node name -> toposort position, matching the order the
         #: buffer plan's root lifetimes are expressed in.
         self.node_pos: Dict[str, int] = {
@@ -541,29 +398,6 @@ class _ProgramSpec:
             np.broadcast_to(arr[..., None, :],
                             arr.shape[:-1] + (ow, arr.shape[-1]))))
 
-    def step_graph(self, key, accesses):
-        """The (dep_counts, dependents, width) triple for ``accesses``.
-
-        Binding is deterministic given the sharding configuration —
-        ``key`` is the (batch shards, gemm panel width) pair — so every
-        state bound at the same key records an identical access list;
-        the graph is computed once per key and shared.
-        """
-        with self._lock:
-            graph = self._step_graphs.get(key)
-        if graph is None:
-            counts, deps = _build_step_graph(accesses, self.plan)
-            graph = (counts, deps, _graph_width(counts, deps))
-            with self._lock:
-                graph = self._step_graphs.setdefault(key, graph)
-        return graph
-
-    def max_width(self) -> int:
-        """Widest hazard graph computed so far (1 if none were)."""
-        with self._lock:
-            widths = [g[2] for g in self._step_graphs.values()]
-        return max(widths, default=1)
-
 
 class ExecutionState:
     """One graph bound to one private arena for one run at a time.
@@ -571,37 +405,16 @@ class ExecutionState:
     The cheap, per-run half of the program/state split: acquiring a
     state from the pool and running it touches no shared mutable
     memory, so concurrent states proceed with zero lock contention.
-    ``shards > 1`` splits batch-shardable steps into per-slice
-    sub-steps; ``parallel=True`` additionally materializes the step
-    dependency graph so :meth:`run` can dispatch ready steps onto the
-    shared host executor.  ``policy`` governs both batch-sharding
-    floors and row-panel GEMM sharding (see
-    :class:`~repro.runtime.gemmpar.ShardPolicy`).
     """
 
-    def __init__(self, spec: _ProgramSpec, *, shards: int = 1,
-                 parallel: bool = False,
-                 policy: Optional[ShardPolicy] = None) -> None:
+    def __init__(self, spec: _ProgramSpec) -> None:
         self.spec = spec
-        self.shards = max(1, int(shards))
-        self.policy = policy if policy is not None else ShardPolicy()
-        #: Max row panels a GEMM-backed step may split into.
-        self._gemm_width = self.policy.resolve_gemm_width(self.shards)
         graph = spec.graph
         self._scratch = _Scratch()
         self._steps: List[Callable[[], None]] = []
         self._step_kinds: List[str] = []
-        #: Per step: (node name, shard index, shard count).  Shard
-        #: count > 1 marks intra-op sub-steps (GEMM row panels, batch
-        #: shards) for the profiling and stats surfaces.
-        self._step_meta: List[Tuple[str, int, int]] = []
-        self._accesses: List[Tuple[List[_Region], List[_Region]]] = []
-        #: Tensors whose bytes live in a state-private buffer instead
-        #: of the arena, mapped to the buffer's owning tensor name.
-        #: View ops over a private buffer propagate the owner, so
-        #: hazard regions keep pointing at the memory actually read —
-        #: not at the (unused) planned arena slot.
-        self._priv: Dict[str, str] = {}
+        #: Per step: the name of the node it was bound from.
+        self._step_meta: List[str] = []
         # Arena zeroed exactly once: pinned roots keep margins and
         # elided-Pad borders zero across runs, everything else is fully
         # rewritten every run.
@@ -617,24 +430,6 @@ class ExecutionState:
             for kind in self._step_kinds:
                 counts[kind] = counts.get(kind, 0) + 1
             spec.step_kind_counts = counts
-        if spec.shard_fanout is None:
-            fanout: Dict[str, int] = {}
-            for kind, (name, _idx, total) in zip(self._step_kinds,
-                                                 self._step_meta):
-                if kind == "gemm" and total > 1:
-                    fanout[name] = total
-            spec.shard_fanout = fanout
-        self._dep_counts: Optional[List[int]] = None
-        self._dependents: Optional[List[List[int]]] = None
-        #: Max antichain width of the hazard graph; 1 until a parallel
-        #: state computes it.  Chain-shaped programs keep width 1 and
-        #: take the serial fast path in :meth:`run` no matter how many
-        #: workers the caller configured.
-        self.width = 1
-        if parallel:
-            self._dep_counts, self._dependents, self.width = \
-                spec.step_graph((self.shards, self._gemm_width),
-                                self._accesses)
 
     # ------------------------------------------------------------------
     # View resolution
@@ -693,67 +488,11 @@ class ExecutionState:
                                before + off + st.shape[d] + hi))
         return arr[tuple(index)]
 
-    # ------------------------------------------------------------------
-    # Access-region bookkeeping
-    # ------------------------------------------------------------------
-    def _region(self, tensor: str,
-                batch: Optional[Tuple[int, int]] = None) -> Optional[_Region]:
-        """Memory region an access of ``tensor`` touches (None for
-        read-only weights).  ``batch`` narrows dimension 0 to one
-        shard's [start, stop) slice."""
-        spec = self.spec
-        owner = self._priv.get(tensor)
-        if owner is not None:
-            box = None
-            if owner == tensor and batch is not None:
-                # Aliases of the buffer (slices/transposes of it) stay
-                # whole-buffer conservative; only the owner itself maps
-                # batch slices onto dimension 0.
-                shape = spec.shapes[tensor]
-                box = ((batch[0], batch[1]),) + tuple(
-                    (0, d) for d in shape[1:])
-            return ("priv", owner, box)
-        if tensor in spec.inits:
-            return None
-        st = spec.plan.storage.get(tensor)
-        if st is None:
-            return ("arena", None, None)
-        if st.root in spec.inits:
-            return None
-        if not st.is_rect:
-            return ("arena", st.root, None)
-        box = tuple((o, o + d) for o, d in zip(st.offset, st.shape))
-        if batch is not None:
-            o0 = st.offset[0]
-            box = ((o0 + batch[0], o0 + batch[1]),) + box[1:]
-        return ("arena", st.root, box)
-
-    def _subregion(self, tensor: str, axis: int, start: int,
-                   extent: int) -> Optional[_Region]:
-        reg = self._region(tensor)
-        if reg is None or reg[2] is None:
-            return reg
-        kind, key, box = reg
-        lo = box[axis][0] + start
-        return (kind, key,
-                box[:axis] + ((lo, lo + extent),) + box[axis + 1:])
-
     def _add_step(self, fn: Callable[[], None], node: str,
-                  reads: List[Optional[_Region]],
-                  writes: List[Optional[_Region]],
-                  kind: str = "other",
-                  shard: Tuple[int, int] = (0, 1)) -> None:
+                  kind: str = "other") -> None:
         self._steps.append(fn)
         self._step_kinds.append(kind)
-        self._step_meta.append((node, shard[0], shard[1]))
-        self._accesses.append((
-            [r for r in reads if r is not None],
-            [w for w in writes if w is not None]))
-
-    def _shard_count(self, n: int) -> int:
-        if self.shards <= 1 or n < self.policy.shard_min_batch:
-            return 1
-        return min(self.shards, n)
+        self._step_meta.append(node)
 
     # ------------------------------------------------------------------
     # Binding
@@ -778,7 +517,7 @@ class ExecutionState:
                 self._bind_bn(node)
             elif op == "FusedElementwise":
                 self._bind_fused(node)
-            elif op in _UNARY_OUT or op in _BINARY_OUT or op == "Clip":
+            elif op in _ELEMENTWISE_OPS:
                 self._bind_elementwise(node)
             else:
                 self._bind_generic(node)
@@ -790,11 +529,8 @@ class ExecutionState:
         src = self._view(node.inputs[0])
         out = node.outputs[0]
         op = node.op_type
-        src_owner = self._priv.get(node.inputs[0])
         if op == "Identity":
             self._views[out] = src
-            if src_owner is not None:
-                self._priv[out] = src_owner
             return
         if op == "Slice":
             axis = int(node.attr("axis")) % src.ndim
@@ -802,14 +538,10 @@ class ExecutionState:
             index[axis] = slice(int(node.attr("start")),
                                 int(node.attr("end")))
             self._views[out] = src[tuple(index)]
-            if src_owner is not None:
-                self._priv[out] = src_owner
             return
         if op == "Transpose":
             perm = node.attr("perm", tuple(reversed(range(src.ndim))))
             self._views[out] = np.transpose(src, perm)
-            if src_owner is not None:
-                self._priv[out] = src_owner
             return
         # Reshape / Flatten: a view when numpy can express the
         # reinterpretation without a copy; otherwise the tensor gets a
@@ -822,17 +554,13 @@ class ExecutionState:
             candidate = None
         if candidate is not None and np.shares_memory(candidate, src):
             self._views[out] = candidate
-            if src_owner is not None:
-                self._priv[out] = src_owner
             return
         priv = np.empty(shape, dtype=np.float32)
         self._views[out] = priv
-        self._priv[out] = out
 
         def step(src=src, priv=priv, shape=shape) -> None:
             np.copyto(priv, src.reshape(shape))
-        self._add_step(step, node.name, [self._region(node.inputs[0])],
-                       [self._region(out)], kind="copy")
+        self._add_step(step, node.name, kind="copy")
 
     def _bind_concat(self, node: Node) -> None:
         out = node.outputs[0]
@@ -841,8 +569,6 @@ class ExecutionState:
         axis = int(node.attr("axis")) % out_view.ndim
         cursor = 0
         copies = []
-        reads: List[Optional[_Region]] = []
-        writes: List[Optional[_Region]] = []
         for t in node.inputs:
             extent = self.spec.shapes[t][axis]
             st = self.spec.plan.storage.get(t)
@@ -856,14 +582,12 @@ class ExecutionState:
                 index = [slice(None)] * out_view.ndim
                 index[axis] = slice(cursor, cursor + extent)
                 copies.append((out_view[tuple(index)], self._view(t)))
-                reads.append(self._region(t))
-                writes.append(self._subregion(out, axis, cursor, extent))
             cursor += extent
         if copies:
             def step(copies=copies) -> None:
                 for dst, src in copies:
                     np.copyto(dst, src)
-            self._add_step(step, node.name, reads, writes, kind="copy")
+            self._add_step(step, node.name, kind="copy")
 
     def _bind_pad(self, node: Node) -> None:
         src_name, out = node.inputs[0], node.outputs[0]
@@ -895,78 +619,6 @@ class ExecutionState:
         pad_spec = ((0, 0), (pt, pb), (pl, pr), (0, 0))
         return (lambda: np.pad(x, pad_spec)), False
 
-    def _emit_conv_panels(self, node: Node, x_name: str, out_name: str,
-                          panels: List[Tuple[int, int]], oh: int, ow: int,
-                          dst2d: np.ndarray, w2d: np.ndarray,
-                          bias: Optional[np.ndarray],
-                          act: Optional[Callable[[np.ndarray], None]], *,
-                          a2d: Optional[np.ndarray] = None,
-                          gather_src: Optional[np.ndarray] = None,
-                          gather_k: int = 0) -> bool:
-        """Bind one conv GEMM as per-row-panel sub-steps.
-
-        Each panel is ``dst2d[m0:m1] = a2d[m0:m1] @ w2d`` — the exact
-        serial kernel restricted to a row slice, so the bytes cannot
-        differ (see :mod:`repro.runtime.gemmpar` for the planner's
-        bit-safety floors).  Panels are aligned to ``ow``, so each
-        declares disjoint per-image output-row write boxes and the
-        hazard builder leaves them unordered: they overlap on the pool,
-        and downstream consumers of one panel's rows may start before
-        the last panel lands.  ``a2d`` feeds panels straight off the
-        bind-time im2col view; otherwise each panel gathers its rows of
-        ``gather_src`` (an (n, oh, ow, ...) window view, ``gather_k``
-        columns) into thread-local scratch first.  Returns False —
-        caller falls back to the serial step — when the destination is
-        not an arena rectangle (without disjoint boxes the scheduler
-        would serialize the panels for nothing).
-        """
-        out_reg = self._region(out_name)
-        if out_reg is None or out_reg[2] is None:
-            return False
-        reg_kind, reg_key, obox = out_reg
-        o_img, o_y = obox[0][0], obox[1][0]
-        scratch = self._scratch
-        x_reg = self._region(x_name)
-        total = len(panels)
-        for idx, (m0, m1) in enumerate(panels):
-            segs = conv_row_segments(m0, m1, oh, ow)
-            writes: List[Optional[_Region]] = [
-                (reg_kind, reg_key,
-                 ((o_img + img, o_img + img + 1),
-                  (o_y + y0, o_y + y1)) + obox[2:])
-                for img, y0, y1 in segs]
-            dpan = dst2d[m0:m1]
-            if a2d is not None:
-                apan = a2d[m0:m1]
-
-                def step(apan=apan, dpan=dpan) -> None:
-                    np.matmul(apan, w2d, out=dpan)
-                    if bias is not None:
-                        np.add(dpan, bias, out=dpan)
-                    if act is not None:
-                        act(dpan)
-            else:
-                rows = m1 - m0
-                scratch.need_a = max(scratch.need_a, rows * gather_k)
-
-                def step(dpan=dpan, segs=segs, rows=rows) -> None:
-                    cols = scratch.view_a((rows, gather_k))
-                    cur = 0
-                    for img, y0, y1 in segs:
-                        nrow = (y1 - y0) * ow
-                        seg = gather_src[img, y0:y1]
-                        np.copyto(cols[cur:cur + nrow].reshape(seg.shape),
-                                  seg)
-                        cur += nrow
-                    np.matmul(cols, w2d, out=dpan)
-                    if bias is not None:
-                        np.add(dpan, bias, out=dpan)
-                    if act is not None:
-                        act(dpan)
-            self._add_step(step, node.name, [x_reg], writes, kind="gemm",
-                           shard=(idx, total))
-        return True
-
     def _bind_conv(self, node: Node) -> None:
         spec = self.spec
         w_name = node.inputs[1]
@@ -995,8 +647,6 @@ class ExecutionState:
         act = _activation_inplace(node)
         get_xp, static = self._conv_input(node, pads)
         scratch = self._scratch
-        reads = [self._region(x_name)]
-        writes = [self._region(out_name)]
         wbias = bias
         if bias is not None and _rows_contiguous(dst):
             wbias = spec.row_wide(bias, ow)
@@ -1021,25 +671,15 @@ class ExecutionState:
             taps = spec.packed_weight(w, (kh, kw, cout))
             if sw == 1 and (not static or _rows_contiguous(get_xp())):
                 taps = spec.row_wide(taps, ow)
-            # Pure ufunc pipeline (multiply + add per tap): sharding
-            # the batch dimension is byte-identical by construction.
-            shards = self._shard_count(n) if static else 1
-            ranges = _shard_ranges(n, shards)
-            for idx, (n0, n1) in enumerate(ranges):
-                bands = _row_bands(n1 - n0, oh, ow * cout)
-                scratch.need_b = max(scratch.need_b, max(
-                    (b1 - b0) * (y1 - y0) * ow * cout
-                    for b0, b1, y0, y1 in bands))
-                dst_s = dst[n0:n1]
+            bands = _row_bands(n, oh, ow * cout)
+            scratch.need_b = max(scratch.need_b, max(
+                (b1 - b0) * (y1 - y0) * ow * cout
+                for b0, b1, y0, y1 in bands))
 
-                def step(dst_s=dst_s, n0=n0, n1=n1, bands=bands) -> None:
-                    _depthwise_bands(get_xp()[n0:n1], dst_s, scratch, bands,
-                                     taps, wbias, act, kh, kw, sh, sw)
-                batch = (n0, n1) if shards > 1 else None
-                self._add_step(step, node.name,
-                               [self._region(x_name, batch=batch)],
-                               [self._region(out_name, batch=batch)],
-                               kind="dwconv", shard=(idx, len(ranges)))
+            def step() -> None:
+                _depthwise_bands(get_xp(), dst, scratch, bands,
+                                 taps, wbias, act, kh, kw, sh, sw)
+            self._add_step(step, node.name, kind="dwconv")
             return
 
         if group != 1:
@@ -1048,23 +688,16 @@ class ExecutionState:
             def step() -> None:
                 store(_conv_grouped(get_xp(), w, n, oh, ow, kh, kw,
                                     sh, sw, cin_g, cout, group))
-            self._add_step(step, node.name, reads, writes, kind="gemm")
+            self._add_step(step, node.name, kind="gemm")
             return
 
         # Regular convolution: GEMM with the result written in place
-        # when the destination is contiguous, staged otherwise.  With a
-        # static input window and a contiguous destination the GEMM may
-        # split into row panels (M-dimension only — each output row
-        # keeps its serial full-K accumulation, and the planner's
-        # floors keep every panel on BLAS's normal kernel path, so the
-        # bytes never change; see gemmpar).
+        # when the destination is contiguous, staged otherwise.
         npix = n * oh * ow
         dst_contig = dst.flags.c_contiguous
         dst2d = dst.reshape(npix, cout) if dst_contig else None
         if not dst_contig:
             scratch.need_b = max(scratch.need_b, npix * cout)
-        can_shard = (self._gemm_width > 1 and dst2d is not None
-                     and static)
 
         def gemm(a2d: np.ndarray, w2d: np.ndarray) -> None:
             if dst2d is not None:
@@ -1078,18 +711,6 @@ class ExecutionState:
         if kh == 1 and kw == 1:
             w2d = spec.packed_weight(w, (cin, cout))
             scratch.need_a = max(scratch.need_a, npix * cin)
-            if can_shard:
-                patch = get_xp()[:, :oh * sh:sh, :ow * sw:sw, :]
-                patch2d = patch.reshape(npix, cin) \
-                    if patch.flags.c_contiguous else None
-                panels = plan_row_panels(npix, cin, cout,
-                                         self._gemm_width, self.policy,
-                                         align=ow)
-                if len(panels) > 1 and self._emit_conv_panels(
-                        node, x_name, out_name, panels, oh, ow,
-                        dst2d, w2d, bias, act, a2d=patch2d,
-                        gather_src=patch, gather_k=cin):
-                    return
 
             def step() -> None:
                 patch = get_xp()[:, :oh * sh:sh, :ow * sw:sw, :]
@@ -1100,7 +721,7 @@ class ExecutionState:
                     np.copyto(sa, patch)
                     a2d = sa.reshape(npix, cin)
                 gemm(a2d, w2d)
-            self._add_step(step, node.name, reads, writes, kind="gemm")
+            self._add_step(step, node.name, kind="gemm")
             return
 
         if npix * kh * kw * cin <= IM2COL_MAX_ELEMENTS:
@@ -1118,20 +739,10 @@ class ExecutionState:
             if static:
                 win = conv_window_view(get_xp(), oh, ow, kh, kw, sh, sw)
                 a2d = reshape_as_view(win, (npix, K))
-                if can_shard:
-                    panels = plan_row_panels(npix, K, cout,
-                                             self._gemm_width,
-                                             self.policy, align=ow)
-                    if len(panels) > 1 and self._emit_conv_panels(
-                            node, x_name, out_name, panels, oh, ow,
-                            dst2d, w2d, bias, act, a2d=a2d,
-                            gather_src=win, gather_k=K):
-                        return
                 if a2d is not None:
                     def step(a2d=a2d) -> None:
                         gemm(a2d, w2d)
-                    self._add_step(step, node.name, reads, writes,
-                                   kind="gemm")
+                    self._add_step(step, node.name, kind="gemm")
                     return
                 scratch.need_a = max(scratch.need_a, npix * K)
 
@@ -1139,7 +750,7 @@ class ExecutionState:
                     cols = scratch.view_a((n, oh, ow, kh, kw, cin))
                     np.copyto(cols, win)
                     gemm(cols.reshape(npix, K), w2d)
-                self._add_step(step, node.name, reads, writes, kind="gemm")
+                self._add_step(step, node.name, kind="gemm")
                 return
             scratch.need_a = max(scratch.need_a, npix * K)
 
@@ -1148,7 +759,7 @@ class ExecutionState:
                 np.copyto(cols,
                           conv_window_view(get_xp(), oh, ow, kh, kw, sh, sw))
                 gemm(cols.reshape(npix, K), w2d)
-            self._add_step(step, node.name, reads, writes, kind="gemm")
+            self._add_step(step, node.name, kind="gemm")
             return
 
         def step() -> None:
@@ -1160,7 +771,7 @@ class ExecutionState:
                     np.add(dst, np.tensordot(patch, w[i, j], axes=([3], [0])),
                            out=dst)
             epilogue()
-        self._add_step(step, node.name, reads, writes, kind="gemm")
+        self._add_step(step, node.name, kind="gemm")
 
     def _bind_gemm(self, node: Node) -> None:
         spec = self.spec
@@ -1176,53 +787,14 @@ class ExecutionState:
                 else self._view(bias_name)
         dst = self._view(node.outputs[0])
         act = _activation_inplace(node) if node.op_type == "Gemm" else None
-        reads = [self._region(t) for t in node.inputs]
-        writes = [self._region(node.outputs[0])]
         if dst.flags.c_contiguous:
-            if self._gemm_width > 1 and a.ndim == 2 and b.ndim == 2 \
-                    and dst.ndim == 2:
-                m, k = a.shape
-                panels = plan_row_panels(m, k, dst.shape[1],
-                                         self._gemm_width, self.policy)
-                out_reg = self._region(node.outputs[0])
-                if len(panels) > 1 and out_reg is not None \
-                        and out_reg[2] is not None:
-                    # Row panels of the identical serial kernel: each
-                    # output row keeps one full-K accumulation, panels
-                    # write disjoint row boxes, so order is free and
-                    # bytes are fixed.  A 2-D bias carrying the M axis
-                    # is sliced with the panel; broadcast biases pass
-                    # whole (per-element either way).
-                    bias_rows = (bias is not None
-                                 and getattr(bias, "ndim", 0) == 2
-                                 and bias.shape[0] == m)
-                    total = len(panels)
-                    for idx, (m0, m1) in enumerate(panels):
-                        apan = a[m0:m1]
-                        dpan = dst[m0:m1]
-                        bpan = bias[m0:m1] if bias_rows else bias
-
-                        def step(apan=apan, dpan=dpan,
-                                 bpan=bpan) -> None:
-                            np.matmul(apan, b, out=dpan)
-                            if bpan is not None:
-                                np.add(dpan, bpan, out=dpan)
-                            if act is not None:
-                                act(dpan)
-                        self._add_step(
-                            step, node.name, reads,
-                            [self._subregion(node.outputs[0], 0,
-                                             m0, m1 - m0)],
-                            kind="gemm", shard=(idx, total))
-                    return
-
             def step() -> None:
                 np.matmul(a, b, out=dst)
                 if bias is not None:
                     np.add(dst, bias, out=dst)
                 if act is not None:
                     act(dst)
-            self._add_step(step, node.name, reads, writes, kind="gemm")
+            self._add_step(step, node.name, kind="gemm")
         else:
             self._scratch.need_b = max(self._scratch.need_b, dst.size)
             scratch, shape = self._scratch, dst.shape
@@ -1237,7 +809,7 @@ class ExecutionState:
                     np.copyto(dst, sb)
                 if act is not None:
                     act(dst)
-            self._add_step(step, node.name, reads, writes, kind="gemm")
+            self._add_step(step, node.name, kind="gemm")
 
     def _bind_bn(self, node: Node) -> None:
         spec = self.spec
@@ -1253,87 +825,26 @@ class ExecutionState:
         denom = spec.prepared(
             (node.name, "bn_denom"),
             lambda: np.sqrt(np.asarray(var + eps, dtype=np.float32)))
-        x_name, out_name = node.inputs[0], node.outputs[0]
-        x = self._view(x_name)
-        dst = self._view(out_name)
+        x = self._view(node.inputs[0])
+        dst = self._view(node.outputs[0])
 
-        def emit(xv: np.ndarray, dv: np.ndarray,
-                 batch: Optional[Tuple[int, int]],
-                 shard: Tuple[int, int]) -> None:
-            def step(xv=xv, dv=dv) -> None:
-                np.subtract(xv, mean, out=dv)
-                np.divide(dv, denom, out=dv)
-                np.multiply(dv, scale, out=dv)
-                np.add(dv, bias, out=dv)
-            self._add_step(step, node.name,
-                           [self._region(x_name, batch=batch)],
-                           [self._region(out_name, batch=batch)],
-                           kind="elementwise", shard=shard)
-
-        shards = 1
-        if x.shape == dst.shape and dst.ndim >= 2:
-            shards = self._shard_count(dst.shape[0])
-        if shards <= 1:
-            emit(x, dst, None, (0, 1))
-        else:
-            ranges = _shard_ranges(dst.shape[0], shards)
-            for idx, (n0, n1) in enumerate(ranges):
-                emit(x[n0:n1], dst[n0:n1], (n0, n1), (idx, len(ranges)))
+        def step() -> None:
+            np.subtract(x, mean, out=dst)
+            np.divide(dst, denom, out=dst)
+            np.multiply(dst, scale, out=dst)
+            np.add(dst, bias, out=dst)
+        self._add_step(step, node.name, kind="elementwise")
 
     def _bind_elementwise(self, node: Node) -> None:
         spec = self.spec
-        op = node.op_type
         ins = [spec.inits[t] if t in spec.inits else self._view(t)
                for t in node.inputs]
-        out_name = node.outputs[0]
-        dst = self._view(out_name)
-        n = dst.shape[0] if dst.ndim >= 2 else 0
-        shards = self._shard_count(n) if dst.ndim >= 2 else 1
-        ranges: List[Optional[Tuple[int, int]]]
-        ranges = list(_shard_ranges(n, shards)) if shards > 1 else [None]
-        for idx, rng in enumerate(ranges):
-            if rng is None:
-                ivs = list(ins)
-                in_batches: List[Optional[Tuple[int, int]]] = \
-                    [None] * len(ins)
-                dv = dst
-            else:
-                n0, n1 = rng
-                ivs, in_batches = [], []
-                for arr in ins:
-                    # Slice operands that carry the batch dimension;
-                    # broadcast operands (per-channel biases, scalars)
-                    # pass through whole — ufuncs broadcast per
-                    # element, so the shard is byte-identical.
-                    if arr.ndim == dst.ndim and arr.shape[0] == n:
-                        ivs.append(arr[n0:n1])
-                        in_batches.append(rng)
-                    else:
-                        ivs.append(arr)
-                        in_batches.append(None)
-                dv = dst[n0:n1]
-            if op == "Clip":
-                lo, hi = node.attr("min", 0.0), node.attr("max", 6.0)
-                xv = ivs[0]
+        dst = self._view(node.outputs[0])
+        kern = compile_elementwise(node.op_type, node.attrs)
 
-                def step(xv=xv, dv=dv, lo=lo, hi=hi) -> None:
-                    np.clip(xv, lo, hi, out=dv)
-            elif op in _UNARY_OUT:
-                fn, xv = _UNARY_OUT[op], ivs[0]
-
-                def step(fn=fn, xv=xv, dv=dv) -> None:
-                    fn(xv, out=dv)
-            else:
-                fn, (av, bv) = _BINARY_OUT[op], ivs
-
-                def step(fn=fn, av=av, bv=bv, dv=dv) -> None:
-                    fn(av, bv, out=dv)
-            self._add_step(
-                step, node.name,
-                [self._region(t, batch=b)
-                 for t, b in zip(node.inputs, in_batches)],
-                [self._region(out_name, batch=rng)],
-                kind="elementwise", shard=(idx, len(ranges)))
+        def step() -> None:
+            kern(ins, dst)
+        self._add_step(step, node.name, kind="elementwise")
 
     def _bind_fused(self, node: Node) -> None:
         """One step per FusedElementwise group.
@@ -1425,247 +936,206 @@ class ExecutionState:
                     and a.__array_interface__["data"][0]
                     == b.__array_interface__["data"][0])
 
-        def emit(ivs: List[np.ndarray], dvs: List[np.ndarray],
-                 shape: Tuple[int, ...], reads, writes,
-                 shard: Tuple[int, int]) -> None:
-            axis, chunk = _tile_plan(shape)
-            ndim = len(shape)
-            n_t = shape[axis]
-            # Operand axis carrying the tiled dimension under
-            # right-aligned broadcasting; None = the operand broadcasts
-            # along it and passes through whole.
-            ext_axes: List[Optional[int]] = []
-            for iv in ivs:
-                k = axis - (ndim - iv.ndim)
-                ext_axes.append(
-                    k if 0 <= k < iv.ndim and iv.shape[k] == n_t else None)
-            head, tail = shape[:axis], shape[axis + 1:]
+        axis, chunk = _tile_plan(S)
+        ndim = len(S)
+        n_t = S[axis]
+        # Operand axis carrying the tiled dimension under
+        # right-aligned broadcasting; None = the operand broadcasts
+        # along it and passes through whole.
+        ext_axes: List[Optional[int]] = []
+        for iv in ins:
+            k = axis - (ndim - iv.ndim)
+            ext_axes.append(
+                k if 0 <= k < iv.ndim and iv.shape[k] == n_t else None)
+        head, tail = S[:axis], S[axis + 1:]
 
-            # Alias analysis: an output entry may evaluate straight
-            # into its destination view (no staging copy) iff nothing
-            # evaluated at-or-after it reads memory the write clobbers.
-            # The planner's in-place aliasing gives dst the exact view
-            # of one dead input; a ufunc whose out= exactly aliases one
-            # of its own inputs is well-defined, and an exact alias is
-            # tile-sliced identically, so tile k of the input is always
-            # consumed in the same iteration that overwrites it.
-            dv_of = dict(zip(out_ids_t, dvs))
-            dvs_overlap = any(
-                np.shares_memory(a, b)
-                for i, a in enumerate(dvs) for b in dvs[i + 1:])
+        # Alias analysis: an output entry may evaluate straight
+        # into its destination view (no staging copy) iff nothing
+        # evaluated at-or-after it reads memory the write clobbers.
+        # The planner's in-place aliasing gives dst the exact view
+        # of one dead input; a ufunc whose out= exactly aliases one
+        # of its own inputs is well-defined, and an exact alias is
+        # tile-sliced identically, so tile k of the input is always
+        # consumed in the same iteration that overwrites it.
+        dv_of = dict(zip(out_ids_t, dsts))
+        dvs_overlap = any(
+            np.shares_memory(a, b)
+            for i, a in enumerate(dsts) for b in dsts[i + 1:])
 
-            def safe_from(j: int, dv: np.ndarray) -> bool:
-                for p in range(j, len(entries)):
-                    for kind, r in entries[p][2]:
-                        if kind != "in":
-                            continue
-                        iv = ivs[r]
-                        if not np.shares_memory(iv, dv):
-                            continue
-                        if p == j and _exact_alias(iv, dv):
-                            continue
-                        return False
-                return True
+        def safe_from(j: int, dv: np.ndarray) -> bool:
+            for p in range(j, len(entries)):
+                for kind, r in entries[p][2]:
+                    if kind != "in":
+                        continue
+                    iv = ins[r]
+                    if not np.shares_memory(iv, dv):
+                        continue
+                    if p == j and _exact_alias(iv, dv):
+                        continue
+                    return False
+            return True
 
-            direct: Dict[int, np.ndarray] = {}
-            for j, dv in dv_of.items():
-                if dvs_overlap:
+        direct: Dict[int, np.ndarray] = {}
+        for j, dv in dv_of.items():
+            if dvs_overlap:
+                break
+            if safe_from(j, dv):
+                direct[j] = dv
+
+        # Chain extension: an interior entry whose value is consumed
+        # exactly once — through an alias-tolerant operand of an
+        # entry already writing ``dv`` — may evaluate into that same
+        # destination tile.  The whole chain then runs in place on
+        # one hot buffer instead of round-tripping a scratch slot,
+        # which is where the fused sweep's bandwidth win lives on
+        # cache-resident activations.  The bytes are unchanged: the
+        # consumer reads the identical values from ``dv`` that it
+        # would have read from the slot.
+        tuse: Dict[int, int] = {}
+        for _eop, _eat, erefs in entries:
+            for kind, r in erefs:
+                if kind == "t":
+                    tuse[r] = tuse.get(r, 0) + 1
+        out_set = set(out_ids_t)
+
+        # Dying inputs usable as in-place chain scratch: full-shape,
+        # writable, contiguous, and not overlapping any other operand
+        # view.
+        avail = {
+            i for i in dying_ops
+            if i < len(ins)
+            and ins[i].shape == S
+            and ins[i].flags.writeable
+            and ins[i].flags.c_contiguous
+            and not any(np.shares_memory(ins[i], ins[k])
+                        for k in range(len(ins)) if k != i)}
+
+        dst_for = dict(direct)
+        for jo in direct:
+            c = jo
+            while True:
+                op_c = entries[c][0]
+                safe_pos = _FUSED_ALIAS_SAFE.get(op_c, (0,))
+                nxt = None
+                for k, (kind, r) in enumerate(entries[c][2]):
+                    if (kind == "t" and k in safe_pos
+                            and tuse.get(r) == 1
+                            and r not in out_set
+                            and r not in dst_for):
+                        nxt = r
+                        break
+                if nxt is None:
                     break
-                if safe_from(j, dv):
-                    direct[j] = dv
-
-            # Chain extension: an interior entry whose value is consumed
-            # exactly once — through an alias-tolerant operand of an
-            # entry already writing ``dv`` — may evaluate into that same
-            # destination tile.  The whole chain then runs in place on
-            # one hot buffer instead of round-tripping a scratch slot,
-            # which is where the fused sweep's bandwidth win lives on
-            # cache-resident activations.  The bytes are unchanged: the
-            # consumer reads the identical values from ``dv`` that it
-            # would have read from the slot.
-            tuse: Dict[int, int] = {}
-            for _eop, _eat, erefs in entries:
-                for kind, r in erefs:
-                    if kind == "t":
-                        tuse[r] = tuse.get(r, 0) + 1
-            out_set = set(out_ids_t)
-
-            # Dying inputs usable as in-place chain scratch in THIS
-            # emit call: full-shape, writable, contiguous, and not
-            # overlapping any other operand view.
-            avail = {
-                i for i in dying_ops
-                if i < len(ivs)
-                and ivs[i].shape == shape
-                and ivs[i].flags.writeable
-                and ivs[i].flags.c_contiguous
-                and not any(np.shares_memory(ivs[i], ivs[k])
-                            for k in range(len(ivs)) if k != i)}
-            scratch_ops: set = set()
-
-            dst_for = dict(direct)
-            for jo in direct:
-                c = jo
-                while True:
-                    op_c = entries[c][0]
-                    safe_pos = _FUSED_ALIAS_SAFE.get(op_c, (0,))
-                    nxt = None
-                    for k, (kind, r) in enumerate(entries[c][2]):
-                        if (kind == "t" and k in safe_pos
-                                and tuse.get(r) == 1
-                                and r not in out_set
-                                and r not in dst_for):
-                            nxt = r
+                # Pick the chain's buffer.  Default: keep running
+                # in the consumer's target.  But when that target
+                # is a strided margined-interior view and this
+                # entry's own data input is a dying contiguous
+                # arena buffer, run the chain interior in place on
+                # that input instead — only the final entry then
+                # pays the strided write, exactly like the unfused
+                # schedule, and intermediates stay in one hot
+                # contiguous buffer.
+                tgt = dst_for[c]
+                if not tgt.flags.c_contiguous:
+                    for k, (kind, r2) in enumerate(entries[nxt][2]):
+                        if (kind == "in" and r2 in avail
+                                and k in _FUSED_ALIAS_SAFE.get(
+                                    entries[nxt][0], (0,))
+                                and safe_from(nxt, ins[r2])):
+                            tgt = ins[r2]
+                            avail.discard(r2)
                             break
-                    if nxt is None:
-                        break
-                    # Pick the chain's buffer.  Default: keep running
-                    # in the consumer's target.  But when that target
-                    # is a strided margined-interior view and this
-                    # entry's own data input is a dying contiguous
-                    # arena buffer, run the chain interior in place on
-                    # that input instead — only the final entry then
-                    # pays the strided write, exactly like the unfused
-                    # schedule, and intermediates stay in one hot
-                    # contiguous buffer.
-                    tgt = dst_for[c]
-                    if not tgt.flags.c_contiguous:
-                        for k, (kind, r2) in enumerate(entries[nxt][2]):
-                            if (kind == "in" and r2 in avail
-                                    and k in _FUSED_ALIAS_SAFE.get(
-                                        entries[nxt][0], (0,))
-                                    and safe_from(nxt, ivs[r2])):
-                                tgt = ivs[r2]
-                                avail.discard(r2)
-                                scratch_ops.add(r2)
-                                break
-                    if tgt is dst_for[c] and not safe_from(nxt, tgt):
-                        break
-                    dst_for[nxt] = tgt
-                    c = nxt
-            staged = [j for j in range(len(entries)) if j not in dst_for]
-            slot_of = {j: i for i, j in enumerate(staged)}
-            if not staged:
-                # Every entry writes its final buffer in place, so
-                # there is no scratch slot to keep cache-hot; tiling
-                # would only add slicing overhead.  Sweep the whole
-                # array in one tile — bit-identical either way.
-                chunk = n_t
-            if staged:
-                inner = 1
-                for d in shape[axis + 1:]:
-                    inner *= d
-                outer = 1
-                for d in shape[:axis]:
-                    outer *= d
-                scratch.need_slot = max(scratch.need_slot,
-                                        outer * chunk * inner)
-                scratch.num_slots = max(scratch.num_slots, len(staged))
+                if tgt is dst_for[c] and not safe_from(nxt, tgt):
+                    break
+                dst_for[nxt] = tgt
+                c = nxt
+        staged = [j for j in range(len(entries)) if j not in dst_for]
+        slot_of = {j: i for i, j in enumerate(staged)}
+        if not staged:
+            # Every entry writes its final buffer in place, so
+            # there is no scratch slot to keep cache-hot; tiling
+            # would only add slicing overhead.  Sweep the whole
+            # array in one tile — bit-identical either way.
+            chunk = n_t
+        if staged:
+            inner = 1
+            for d in S[axis + 1:]:
+                inner *= d
+            outer = 1
+            for d in S[:axis]:
+                outer *= d
+            scratch.need_slot = max(scratch.need_slot,
+                                    outer * chunk * inner)
+            scratch.num_slots = max(scratch.num_slots, len(staged))
 
-            # Precompute every tile's input/destination views once at
-            # bind time; the run-time loop only resolves scratch slots
-            # (thread-local) and calls pre-compiled kernels.  The
-            # per-entry table (kernel closure, operand refs, slot) is
-            # static across tiles, so a tile stores just one view per
-            # *operand* — entries sharing an input share its slice —
-            # plus the direct-write and flush targets.
-            static_ents = tuple(
+        # Precompute every tile's input/destination views once at
+        # bind time; the run-time loop only resolves scratch slots
+        # and calls pre-compiled kernels.  The
+        # per-entry table (kernel closure, operand refs, slot) is
+        # static across tiles, so a tile stores just one view per
+        # *operand* — entries sharing an input share its slice —
+        # plus the direct-write and flush targets.
+        static_ents = tuple(
+            (kerns[j],
+             tuple((0, r) if kind == "t" else (1, r)
+                   for kind, r in refs),
+             slot_of.get(j))
+            for j, (op, attrs, refs) in enumerate(entries))
+        tiles = []
+        full_shape = None
+        for lo in range(0, n_t, chunk):
+            hi = min(n_t, lo + chunk)
+            if hi - lo == chunk and full_shape is not None:
+                tshape = full_shape
+            else:
+                tshape = head + (hi - lo,) + tail
+                if hi - lo == chunk:
+                    full_shape = tshape
+            dtile = (slice(None),) * axis + (slice(lo, hi),)
+            tviews = tuple(
+                iv if k is None else
+                iv[(slice(None),) * k + (slice(lo, hi),)]
+                for iv, k in zip(ins, ext_axes))
+            dtgts = tuple(dst_for[j][dtile] if j in dst_for else None
+                          for j in range(len(entries)))
+            flushes = tuple((dv[dtile], j) for j, dv in dv_of.items()
+                            if j not in direct)
+            tiles.append((tviews, dtgts, flushes, tshape))
+
+        if not staged:
+            # Fully extended group: one whole-array tile, every
+            # value a static view, nothing flushed.  The entire
+            # sweep is a fixed sequence of kernel calls resolvable
+            # now — the run-time step does no indexing at all.
+            tviews, dtgts, _fl, _ts = tiles[0]
+            calls = tuple(
                 (kerns[j],
-                 tuple((0, r) if kind == "t" else (1, r)
-                       for kind, r in refs),
-                 slot_of.get(j))
+                 [tviews[p] if kind == "in" else dtgts[p]
+                  for kind, p in refs],
+                 dtgts[j])
                 for j, (op, attrs, refs) in enumerate(entries))
-            tiles = []
-            full_shape = None
-            for lo in range(0, n_t, chunk):
-                hi = min(n_t, lo + chunk)
-                if hi - lo == chunk and full_shape is not None:
-                    tshape = full_shape
-                else:
-                    tshape = head + (hi - lo,) + tail
-                    if hi - lo == chunk:
-                        full_shape = tshape
-                dtile = (slice(None),) * axis + (slice(lo, hi),)
-                tviews = tuple(
-                    iv if k is None else
-                    iv[(slice(None),) * k + (slice(lo, hi),)]
-                    for iv, k in zip(ivs, ext_axes))
-                dtgts = tuple(dst_for[j][dtile] if j in dst_for else None
-                              for j in range(len(entries)))
-                flushes = tuple((dv[dtile], j) for j, dv in dv_of.items()
-                                if j not in direct)
-                tiles.append((tviews, dtgts, flushes, tshape))
 
-            if not staged:
-                # Fully extended group: one whole-array tile, every
-                # value a static view, nothing flushed.  The entire
-                # sweep is a fixed sequence of kernel calls resolvable
-                # now — the run-time step does no indexing at all.
-                tviews, dtgts, _fl, _ts = tiles[0]
-                calls = tuple(
-                    (kerns[j],
-                     [tviews[p] if kind == "in" else dtgts[p]
-                      for kind, p in refs],
-                     dtgts[j])
-                    for j, (op, attrs, refs) in enumerate(entries))
+            def step(calls=calls) -> None:
+                for kern, tins, tgt in calls:
+                    kern(tins, tgt)
 
-                def step(calls=calls) -> None:
-                    for kern, tins, tgt in calls:
-                        kern(tins, tgt)
+            self._add_step(step, node.name, kind="fused")
+            return
 
-                self._add_step(step, node.name, reads,
-                               list(writes) + [reads[i]
-                                               for i in sorted(scratch_ops)
-                                               if i < len(reads)],
-                               kind="fused", shard=shard)
-                return
-
-            def step(tiles=tuple(tiles), ents=static_ents) -> None:
-                vals: List[Optional[np.ndarray]] = [None] * len(ents)
-                for tviews, dtgts, flushes, tshape in tiles:
-                    for j, (kern, refs, slot) in enumerate(ents):
-                        tins = [tviews[p] if c else vals[p]
-                                for c, p in refs]
-                        tgt = dtgts[j]
-                        if tgt is None:
-                            tgt = scratch.view_slot(slot, tshape)
-                        kern(tins, tgt)
-                        vals[j] = tgt
-                    for fv, j in flushes:
-                        np.copyto(fv, vals[j])
-            if scratch_ops:
-                # Chain interiors clobber dying input buffers; the
-                # hazard graph must see those as writes so parallel
-                # dispatch cannot overlap another reader.
-                writes = list(writes) + [reads[i]
-                                         for i in sorted(scratch_ops)
-                                         if i < len(reads)]
-            self._add_step(step, node.name, reads, writes, kind="fused",
-                           shard=shard)
-
-        shards = self._shard_count(S[0]) if len(S) >= 2 else 1
-        if shards > 1:
-            ranges = _shard_ranges(S[0], shards)
-            for idx, (n0, n1) in enumerate(ranges):
-                sub_ivs: List[np.ndarray] = []
-                in_batches: List[Optional[Tuple[int, int]]] = []
-                for iv in ins:
-                    if iv.ndim == len(S) and iv.shape[0] == S[0]:
-                        sub_ivs.append(iv[n0:n1])
-                        in_batches.append((n0, n1))
-                    else:
-                        sub_ivs.append(iv)
-                        in_batches.append(None)
-                emit(sub_ivs, [d[n0:n1] for d in dsts],
-                     (n1 - n0,) + S[1:],
-                     [self._region(t, batch=b)
-                      for t, b in zip(node.inputs, in_batches)],
-                     [self._region(t, batch=(n0, n1))
-                      for t in node.outputs], (idx, len(ranges)))
-        else:
-            emit(ins, dsts, S,
-                 [self._region(t) for t in node.inputs],
-                 [self._region(t) for t in node.outputs], (0, 1))
+        def step(tiles=tuple(tiles), ents=static_ents) -> None:
+            vals: List[Optional[np.ndarray]] = [None] * len(ents)
+            for tviews, dtgts, flushes, tshape in tiles:
+                for j, (kern, refs, slot) in enumerate(ents):
+                    tins = [tviews[p] if c else vals[p]
+                            for c, p in refs]
+                    tgt = dtgts[j]
+                    if tgt is None:
+                        tgt = scratch.view_slot(slot, tshape)
+                    kern(tins, tgt)
+                    vals[j] = tgt
+                for fv, j in flushes:
+                    np.copyto(fv, vals[j])
+        self._add_step(step, node.name, kind="fused")
 
     def _bind_generic(self, node: Node) -> None:
         fn = KERNELS.get(node.op_type)
@@ -1680,45 +1150,33 @@ class ExecutionState:
         def step(node=node, fn=fn, ins=ins, outs=outs) -> None:
             for dst, res in zip(outs, _node_results(node, fn(node, ins))):
                 np.copyto(dst, res)
-        self._add_step(step, node.name,
-                       [self._region(t) for t in node.inputs],
-                       [self._region(t) for t in node.outputs])
+        self._add_step(step, node.name)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, feeds: Mapping[str, np.ndarray],
-            max_inflight: int = 1) -> Dict[str, np.ndarray]:
+    def run(self, feeds: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
         for name, view in self._input_views:
             np.copyto(view, feeds[name])
-        # width 1 = the hazard graph is a chain: parallel dispatch can
-        # never overlap two steps, so skip its queue/submit overhead
-        # entirely even when workers were requested.
-        if max_inflight > 1 and self._dep_counts is not None \
-                and len(self._steps) > 1 and self.width > 1:
-            self._run_parallel(max_inflight)
-        else:
-            for step in self._steps:
-                step()
+        for step in self._steps:
+            step()
         return self._collect_outputs()
 
     def run_profiled(self, feeds: Mapping[str, np.ndarray]
                      ) -> Tuple[Dict[str, np.ndarray], Dict[str, dict],
                                 List[dict]]:
-        """Serial run with per-step timing, by kind and by node.
+        """Run with per-step timing, by kind and by node.
 
         Returns ``(outputs, {kind: {"steps": n, "ms": total}},
         node_rows)`` — the attribution behind ``repro stat --plan`` and
         :meth:`CompiledExecutable.step_profile`.  ``node_rows`` has one
-        row per bound node, in step order: ``{"node", "kind", "shards",
-        "ms", "shard_ms": [per-shard]}``; unsharded nodes have
-        ``shards == 1``.
+        ``{"node", "kind", "ms"}`` row per bound node, in step order.
         """
         for name, view in self._input_views:
             np.copyto(view, feeds[name])
         prof: Dict[str, List[float]] = {}
         rows: Dict[str, dict] = {}
-        for step, kind, (nname, sidx, stotal) in zip(
+        for step, kind, nname in zip(
                 self._steps, self._step_kinds, self._step_meta):
             t0 = time.perf_counter()
             step()
@@ -1727,10 +1185,8 @@ class ExecutionState:
             entry[0] += 1
             entry[1] += dt
             row = rows.setdefault(nname, {
-                "node": nname, "kind": kind, "shards": stotal,
-                "ms": 0.0, "shard_ms": [0.0] * stotal})
+                "node": nname, "kind": kind, "ms": 0.0})
             row["ms"] += dt * 1e3
-            row["shard_ms"][sidx] += dt * 1e3
         profile = {kind: {"steps": int(n), "ms": total * 1e3}
                    for kind, (n, total) in prof.items()}
         return self._collect_outputs(), profile, list(rows.values())
@@ -1744,80 +1200,6 @@ class ExecutionState:
                 out[t] = view.copy()
         return out
 
-    def _run_parallel(self, max_inflight: int) -> None:
-        """Dependency-counted dispatch onto the shared host executor.
-
-        One step always runs inline on the calling thread (the serial
-        fallback when the ready set is 1-wide costs nothing); the rest
-        of the ready set — up to ``max_inflight - 1`` — is submitted to
-        the pool, whose workers spend their time in GIL-releasing
-        NumPy/BLAS kernels.
-        """
-        steps = self._steps
-        counts = list(self._dep_counts)
-        dependents = self._dependents
-        ready = deque(i for i, c in enumerate(counts) if c == 0)
-        remaining = len(steps)
-        done: SimpleQueue = SimpleQueue()
-        inflight = 0
-        error: Optional[BaseException] = None
-        pool = host_executor()
-
-        def work(i: int) -> None:
-            try:
-                steps[i]()
-                done.put((i, None))
-            except BaseException as exc:  # surfaced on the caller
-                done.put((i, exc))
-
-        def finish(i: int) -> None:
-            nonlocal remaining
-            remaining -= 1
-            for j in dependents[i]:
-                counts[j] -= 1
-                if counts[j] == 0:
-                    ready.append(j)
-
-        while remaining and error is None:
-            while len(ready) > 1 and inflight < max_inflight - 1:
-                pool.submit(work, ready.popleft())
-                inflight += 1
-            if ready:
-                i = ready.popleft()
-                try:
-                    steps[i]()
-                except BaseException as exc:
-                    error = exc
-                    break
-                finish(i)
-                while True:  # collect whatever finished meanwhile
-                    try:
-                        j, exc = done.get_nowait()
-                    except Empty:
-                        break
-                    inflight -= 1
-                    if exc is not None:
-                        error = error or exc
-                    else:
-                        finish(j)
-            else:
-                if not inflight:  # pragma: no cover - DAG by construction
-                    raise RuntimeError(
-                        "operator scheduler stalled: cyclic step graph")
-                j, exc = done.get()
-                inflight -= 1
-                if exc is not None:
-                    error = exc
-                else:
-                    finish(j)
-        while inflight:  # drain before surfacing any error
-            _, exc = done.get()
-            inflight -= 1
-            if exc is not None and error is None:
-                error = exc
-        if error is not None:
-            raise error
-
 
 class CompiledExecutable:
     """A graph bound once for repeat, concurrency-safe inference.
@@ -1830,9 +1212,8 @@ class CompiledExecutable:
     proceed on distinct states with no shared lock on the hot path
     (the old global ``_run_lock`` is gone).
 
-    ``workers > 1`` turns on the operator-parallel scheduler inside
-    each run; ``max_states`` caps how many arenas may exist at once
-    (acquires beyond it wait for a release).  ``elide=False`` disables
+    ``max_states`` caps how many arenas may exist at once (acquires
+    beyond it wait for a release).  ``elide=False`` disables
     the zero-copy treatment of memopt-``elided`` nodes and pre-padded
     conv reads; it is the ablation the benchmarks use to show what the
     paper's memory-layout optimization buys at runtime.  ``fuse=False``
@@ -1841,18 +1222,11 @@ class CompiledExecutable:
     """
 
     def __init__(self, graph: Graph, *, elide: bool = True,
-                 workers: Optional[int] = None,
                  max_states: Optional[int] = None,
-                 fuse: bool = True,
-                 policy: Optional[ShardPolicy] = None) -> None:
+                 fuse: bool = True) -> None:
         self.graph = graph
         self.elide = elide
         self.fuse = bool(fuse)
-        self.workers = resolve_host_workers(workers)
-        #: Sharding knobs for every state this executable binds; the
-        #: default honors ``REPRO_GEMM_SHARDS``.
-        self.policy = policy if policy is not None \
-            else ShardPolicy.from_env()
         self.max_states = int(max_states) if max_states is not None \
             else DEFAULT_MAX_STATES
         if self.max_states < 1:
@@ -1925,23 +1299,13 @@ class CompiledExecutable:
                     shapes = _capture_shapes(self.graph, feeds)
                 spec = _ProgramSpec(self._run_graph(), shapes,
                                     elide=self.elide)
-                shards = self.workers
-                parallel = self.workers > 1
-                policy = self.policy
-
-                def factory(spec=spec, shards=shards, parallel=parallel,
-                            policy=policy):
-                    return ExecutionState(spec, shards=shards,
-                                          parallel=parallel,
-                                          policy=policy)
-                # Request-level analog of the hazard-width gate: states
-                # beyond the physical core count cannot overlap on CPU
-                # — they only multiply arena footprint and cache
+                # States beyond the physical core count cannot overlap
+                # on CPU — they only multiply arena footprint and cache
                 # pressure (each checkout lands on a cold arena), so a
-                # single-core host serializes on one hot state exactly
-                # like the pre-pool runtime did.
+                # single-core host serializes on one hot state.
                 cap = max(1, min(self.max_states, os.cpu_count() or 1))
-                entry = (spec, StatePool(factory, cap))
+                entry = (spec, StatePool(
+                    lambda spec=spec: ExecutionState(spec), cap))
                 self._pools[key] = entry
         return entry
 
@@ -1950,15 +1314,13 @@ class CompiledExecutable:
         return self.run(feeds)
 
     def run(self, feeds: Mapping[str, np.ndarray], *,
-            workers: Optional[int] = None,
             state_timeout_s: Optional[float] = None
             ) -> Dict[str, np.ndarray]:
         """One inference; byte-identical to interpreted ``execute``.
 
         Thread-safe without serializing: each call executes on a
-        pooled private state.  ``workers`` may lower (never raise) the
-        dispatch width this call uses; ``state_timeout_s`` bounds the
-        wait for a free state when the pool is exhausted
+        pooled private state.  ``state_timeout_s`` bounds the wait for
+        a free state when the pool is exhausted
         (:class:`~repro.runtime.hostpool.StatePoolTimeout`).
         """
         feeds32 = {}
@@ -1969,9 +1331,7 @@ class CompiledExecutable:
         _, pool = self._pool_for(feeds32)
         state = pool.acquire(timeout_s=state_timeout_s)
         try:
-            width = self.workers if workers is None \
-                else max(1, min(int(workers), self.workers))
-            return state.run(feeds32, max_inflight=width)
+            return state.run(feeds32)
         finally:
             pool.release(state)
 
@@ -2000,19 +1360,14 @@ class CompiledExecutable:
             entries = list(self._pools.values())
         agg: Dict[str, object] = {
             "programs": len(entries),
-            "workers": self.workers,
             "max_states": self.max_states,
             "states_bound": 0,
             "in_use": 0,
             "peak_in_use": 0,
             "acquires": 0,
             "waits": 0,
-            "width": 1,
             "fused_groups": 0,
             "step_kinds": {},
-            "gemm_shards": self.policy.resolve_gemm_width(self.workers),
-            "gemm_sharded_steps": 0,
-            "gemm_shard_max": 1,
         }
         kinds: Dict[str, int] = agg["step_kinds"]
         for spec, pool in entries:
@@ -2022,31 +1377,25 @@ class CompiledExecutable:
             agg["peak_in_use"] = max(agg["peak_in_use"], s["peak_in_use"])
             agg["acquires"] += s["acquires"]
             agg["waits"] += s["waits"]
-            agg["width"] = max(agg["width"], spec.max_width())
             agg["fused_groups"] = max(
                 agg["fused_groups"],
                 sum(1 for n in spec.graph.nodes
                     if n.op_type == "FusedElementwise"))
             for kind, count in (spec.step_kind_counts or {}).items():
                 kinds[kind] = max(kinds.get(kind, 0), count)
-            fanout = spec.shard_fanout or {}
-            agg["gemm_sharded_steps"] = max(
-                agg["gemm_sharded_steps"], len(fanout))
-            agg["gemm_shard_max"] = max(
-                agg["gemm_shard_max"], *fanout.values(), 1)
         return agg
 
     def step_profile(self, feeds: Optional[Mapping[str, np.ndarray]] = None,
                      rounds: int = 2, detail: bool = False):
-        """Per-op-kind serial step timing for one inference.
+        """Per-op-kind step timing for one inference.
 
-        Runs ``rounds`` serial profiled inferences (declared-shape zero
+        Runs ``rounds`` profiled inferences (declared-shape zero
         feeds if none given) and keeps each kind's best total, so
         first-run binding noise doesn't pollute the attribution.
         Returns ``{kind: {"steps": n, "ms": total}}``; with
         ``detail=True`` returns ``(kinds, node_rows)`` where
-        ``node_rows`` holds every node's timing (best round by node
-        total, per-shard split included), sorted slowest-first.
+        ``node_rows`` holds every node's timing (best round per node),
+        sorted slowest-first.
         """
         if feeds is None:
             feeds = {name: np.zeros(self.graph.tensors[name].shape,
@@ -2077,17 +1426,3 @@ class CompiledExecutable:
         finally:
             pool.release(state)
 
-
-_UNARY_OUT: Dict[str, Callable] = {
-    "Relu": lambda x, out: np.maximum(x, 0.0, out=out),
-    "Tanh": np.tanh,
-    "Sigmoid": stable_sigmoid,
-    "Silu": stable_silu,
-}
-
-_BINARY_OUT: Dict[str, Callable] = {
-    "Add": np.add,
-    "Mul": np.multiply,
-    "Sub": np.subtract,
-    "Div": np.divide,
-}

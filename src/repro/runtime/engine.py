@@ -169,9 +169,8 @@ class ExecutionEngine:
         return self.run(plan.graph)
 
     def infer(self, graph: Graph, feeds, compiled: bool = True,
-              elide: bool = True, workers: Optional[int] = None,
-              max_states: Optional[int] = None, fuse: bool = True,
-              policy=None):
+              elide: bool = True, max_states: Optional[int] = None,
+              fuse: bool = True):
         """Run one *numerical* inference of ``graph`` on the host.
 
         Where :meth:`run` prices a schedule on the modelled devices,
@@ -179,30 +178,21 @@ class ExecutionEngine:
         :class:`~repro.runtime.compiled.CompiledExecutable` is the
         default path; ``compiled=False`` falls back to the interpreted
         :func:`~repro.runtime.numerical.execute` oracle.  Executables
-        are cached per (graph identity, version, elide, workers,
-        max_states, fuse, policy) so repeat inference pays binding cost
-        once.
+        are cached per (graph identity, version, elide, max_states,
+        fuse) so repeat inference pays binding cost once.
 
-        ``workers`` sets the operator-parallel dispatch width inside
-        the run (None defers to ``REPRO_HOST_WORKERS``, default
-        serial); ``max_states`` caps the executable's pool of
-        concurrent execution states; ``policy`` is the
-        :class:`~repro.runtime.gemmpar.ShardPolicy` governing intra-op
-        GEMM sharding (None defers to ``REPRO_GEMM_SHARDS``).  Calls
-        are thread-safe without serializing — concurrent callers run on
-        distinct pooled states.
+        ``max_states`` caps the executable's pool of concurrent
+        execution states.  Calls are thread-safe without serializing —
+        concurrent callers run on distinct pooled states.
         """
         if not compiled:
             from repro.runtime.numerical import execute
             return execute(graph, feeds)
-        return self.executable(graph, elide=elide, workers=workers,
-                               max_states=max_states, fuse=fuse,
-                               policy=policy).run(feeds)
+        return self.executable(graph, elide=elide, max_states=max_states,
+                               fuse=fuse).run(feeds)
 
     def executable(self, graph: Graph, elide: bool = True,
-                   workers: Optional[int] = None,
-                   max_states: Optional[int] = None, fuse: bool = True,
-                   policy=None):
+                   max_states: Optional[int] = None, fuse: bool = True):
         """The cached :class:`~repro.runtime.compiled.CompiledExecutable`
         for ``graph``, binding one on a miss.
 
@@ -214,21 +204,14 @@ class ExecutionEngine:
         evicted first.
         """
         from repro.runtime.compiled import CompiledExecutable
-        from repro.runtime.gemmpar import ShardPolicy
-        from repro.runtime.hostpool import resolve_host_workers
-        workers = resolve_host_workers(workers)
-        if policy is None:
-            policy = ShardPolicy.from_env()
-        key = (id(graph), graph.version, elide, workers, max_states, fuse,
-               policy)
+        key = (id(graph), graph.version, elide, max_states, fuse)
         with self._compiled_lock:
             exe = self._compiled_cache.get(key)
             if exe is not None:
                 self._compiled_cache.move_to_end(key)
                 return exe
-        built = CompiledExecutable(graph, elide=elide, workers=workers,
-                                   max_states=max_states, fuse=fuse,
-                                   policy=policy)
+        built = CompiledExecutable(graph, elide=elide,
+                                   max_states=max_states, fuse=fuse)
         with self._compiled_lock:
             exe = self._compiled_cache.get(key)
             if exe is None:
@@ -255,20 +238,16 @@ class ExecutionEngine:
         The serving layer surfaces this as its host-concurrency view:
         how many execution states are bound, the high-water mark of
         simultaneous in-flight runs, and how often an acquire had to
-        wait for a state (contention).  Also carries the measured
-        hazard-graph ``width`` (1 = chain-shaped, parallel dispatch
-        gated off), the ``fused_groups`` count, the per-kind step
-        census (``step_kinds``), and the intra-op GEMM shard fan-out
-        (``gemm_sharded_steps`` nodes split, ``gemm_shard_max`` widest
-        split).
+        wait for a state (contention).  Also carries the
+        ``fused_groups`` count and the per-kind step census
+        (``step_kinds``).
         """
         with self._compiled_lock:
             exes = list(self._compiled_cache.values())
         agg: Dict[str, object] = {
             "executables": len(exes), "programs": 0, "states_bound": 0,
             "in_use": 0, "peak_in_use": 0, "acquires": 0, "waits": 0,
-            "width": 1, "fused_groups": 0, "step_kinds": {},
-            "gemm_sharded_steps": 0, "gemm_shard_max": 1}
+            "fused_groups": 0, "step_kinds": {}}
         kinds: Dict[str, int] = agg["step_kinds"]
         for exe in exes:
             s = exe.pool_stats()
@@ -278,13 +257,8 @@ class ExecutionEngine:
             agg["peak_in_use"] = max(agg["peak_in_use"], s["peak_in_use"])
             agg["acquires"] += s["acquires"]
             agg["waits"] += s["waits"]
-            agg["width"] = max(agg["width"], s.get("width", 1))
             agg["fused_groups"] = max(agg["fused_groups"],
                                       s.get("fused_groups", 0))
-            agg["gemm_sharded_steps"] = max(
-                agg["gemm_sharded_steps"], s.get("gemm_sharded_steps", 0))
-            agg["gemm_shard_max"] = max(
-                agg["gemm_shard_max"], s.get("gemm_shard_max", 1))
             for kind, count in (s.get("step_kinds") or {}).items():
                 kinds[kind] = max(kinds.get(kind, 0), count)
         return agg

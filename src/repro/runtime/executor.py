@@ -63,30 +63,20 @@ class PlanExecutor:
         return self.engine.run_plan(self.plan)
 
     def infer(self, feeds, compiled: bool = True, elide: bool = True,
-              workers: Optional[int] = None,
-              max_states: Optional[int] = None, fuse: bool = True,
-              gemm_shards: Optional[int] = None):
+              max_states: Optional[int] = None, fuse: bool = True):
         """Numerically execute the plan's graph on the given feeds.
 
         Routes through the engine's compiled-executable cache, so a
         serving loop calling this repeatedly binds the graph once and
         then runs pure kernel dispatch (``compiled=False`` falls back
-        to the interpreted oracle).  ``workers`` enables the
-        operator-parallel scheduler inside the run; ``max_states`` caps
-        the pool of concurrent execution states; ``fuse=False``
-        disables the executor's internal elementwise fusion;
-        ``gemm_shards`` caps intra-op GEMM row-panel sharding (None
-        defers to ``REPRO_GEMM_SHARDS``).  Concurrent calls are safe
-        and do not serialize.
+        to the interpreted oracle).  ``max_states`` caps the pool of
+        concurrent execution states; ``fuse=False`` disables the
+        executor's internal elementwise fusion.  Concurrent calls are
+        safe and do not serialize: each runs on its own pooled state.
         """
-        policy = None
-        if gemm_shards is not None:
-            from repro.runtime.gemmpar import ShardPolicy
-            policy = ShardPolicy.from_env().with_gemm_shards(gemm_shards)
         return self.engine.infer(self.plan.graph, feeds,
                                  compiled=compiled, elide=elide,
-                                 workers=workers, max_states=max_states,
-                                 fuse=fuse, policy=policy)
+                                 max_states=max_states, fuse=fuse)
 
     def host_stats(self) -> dict:
         """State-pool and concurrency gauges for this plan's engine."""

@@ -1,28 +1,16 @@
-"""Host-side concurrency primitives for the compiled runtime.
+"""The bounded pool of execution states behind the compiled runtime.
 
-Three small pieces shared by :mod:`repro.runtime.compiled`, the
-execution engine, and the serving layer:
-
-* :func:`resolve_host_workers` — the one place the ``REPRO_HOST_WORKERS``
-  environment default is interpreted.
-* :class:`StatePool` — a bounded pool of per-run execution states.  The
-  compiled executable keeps one pool per bound program; N server workers
-  then run truly concurrently, each on its own arena, instead of
-  serializing on a single shared one.
-* :func:`host_executor` — the process-wide ``ThreadPoolExecutor`` the
-  operator-parallel scheduler dispatches ready nodes onto.  One shared
-  pool bounds total host threads no matter how many executables or
-  serving models are live; its workers spend their time inside
-  GIL-releasing NumPy/BLAS kernels, which is why threads (not
-  processes) are the right vehicle.
+:class:`StatePool` hands out per-run execution states.  The compiled
+executable keeps one pool per bound program; N server workers then run
+truly concurrently, each on its own arena, instead of serializing on a
+single shared one.  Inside a run the steps execute serially on the
+calling thread, and BLAS owns the cores inside each GEMM.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Generic, List, Optional, TypeVar
 
 #: Bound states per compiled program when the caller does not say
@@ -32,43 +20,6 @@ from typing import Callable, Dict, Generic, List, Optional, TypeVar
 DEFAULT_MAX_STATES = 4
 
 T = TypeVar("T")
-
-
-def resolve_host_workers(workers: Optional[int] = None) -> int:
-    """Effective intra-inference worker count.
-
-    Explicit ``workers`` wins; otherwise the ``REPRO_HOST_WORKERS``
-    environment variable (default 1 = serial, the historical
-    behaviour); 0 means one worker per CPU core.
-    """
-    if workers is None:
-        try:
-            workers = int(os.environ.get("REPRO_HOST_WORKERS", "") or 1)
-        except ValueError:
-            workers = 1
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return max(1, int(workers))
-
-
-_executor: Optional[ThreadPoolExecutor] = None
-_executor_lock = threading.Lock()
-
-
-def host_executor() -> ThreadPoolExecutor:
-    """The process-wide scheduler thread pool (created on first use).
-
-    Sized to the machine, not to any one caller: per-run ``workers``
-    only bounds how many steps one inference keeps in flight, while
-    this pool caps the total threads the whole process can burn.
-    """
-    global _executor
-    with _executor_lock:
-        if _executor is None:
-            _executor = ThreadPoolExecutor(
-                max_workers=max(4, min(32, os.cpu_count() or 1)),
-                thread_name_prefix="repro-host")
-        return _executor
 
 
 class StatePoolTimeout(RuntimeError):

@@ -127,15 +127,6 @@ def profile_pipeline(graph: Graph, chain: Sequence[str], engine: ExecutionEngine
     return engine.run(region).makespan_us
 
 
-def profile_gpu(graph: Graph, node_names: Sequence[str],
-                engine: ExecutionEngine) -> float:
-    """Region makespan of nodes executed GPU-only (no transformation)."""
-    region = extract_subgraph(graph, node_names)
-    for node in region.nodes:
-        node.device = "gpu"
-    return engine.run(region).makespan_us
-
-
 def measure_region(region: Graph, kind: str, target: Sequence[str],
                    engine: ExecutionEngine, ratios: Sequence[float] = (),
                    stages: int = 2,

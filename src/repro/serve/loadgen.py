@@ -223,13 +223,12 @@ def run_open_loop(server: InferenceServer, model: str,
 def _serve_once(repo: ModelRepository, model: str, max_batch: int,
                 clients: int, requests_per_client: int,
                 workers: int, max_wait_ms: float,
-                host_workers: Optional[int] = None,
                 host_states: Optional[int] = None) -> LoadResult:
     server = InferenceServer(repo, ServerConfig(
         workers=workers, max_batch_size=max_batch,
         max_wait_ms=max_wait_ms,
         queue_depth=max(64, clients * 2),
-        host_workers=host_workers, host_states=host_states))
+        host_states=host_states))
     with server:
         return run_closed_loop(server, model, clients=clients,
                                requests_per_client=requests_per_client)
@@ -241,7 +240,6 @@ def bench_serve(model: str = "mobilenet-v2", mechanism: str = "gpu",
                 max_wait_ms: float = 50.0,
                 plan=None,
                 progress: Optional[Callable[[str], None]] = None,
-                host_workers: Optional[int] = None,
                 host_states: Optional[int] = None,
                 ) -> Dict[str, Any]:
     """Closed-loop A/B: batch-1 serving vs dynamic batching.
@@ -272,13 +270,11 @@ def bench_serve(model: str = "mobilenet-v2", mechanism: str = "gpu",
 
     say(f"[bench-serve] serving {model}: batch-1 baseline ...")
     base = _serve_once(repo, model, 1, clients, requests_per_client,
-                       workers, max_wait_ms,
-                       host_workers=host_workers, host_states=host_states)
+                       workers, max_wait_ms, host_states=host_states)
     say(f"[bench-serve] serving {model}: dynamic batching "
         f"(max-batch {max_batch}) ...")
     dyn = _serve_once(repo, model, max_batch, clients, requests_per_client,
-                      workers, max_wait_ms,
-                      host_workers=host_workers, host_states=host_states)
+                      workers, max_wait_ms, host_states=host_states)
 
     cost = repo.get(model).cost
     win = (dyn.device_rps / base.device_rps if base.device_rps else 0.0)

@@ -6,7 +6,8 @@ executes the batch:
 
 * **Host numerics** — every request runs individually through the
   model's :class:`~repro.runtime.executor.PlanExecutor` (one shared
-  compiled executable per model, bound once).  Outputs are therefore
+  compiled executable per model, bound once; each call runs serially
+  on its own pooled execution state).  Outputs are therefore
   *byte-identical* to a direct per-request ``PlanExecutor.infer`` call
   by construction: batching composes requests, it never changes
   numerics.
@@ -67,20 +68,11 @@ class ServerConfig:
     max_wait_ms: float = DEFAULT_MAX_WAIT_MS
     #: Default per-request deadline; None = requests never expire.
     default_deadline_ms: Optional[float] = None
-    #: Operator-parallel dispatch width inside each host inference
-    #: (None defers to ``REPRO_HOST_WORKERS``; 1 = serial).  The CLI
-    #: flag ``--threads`` sets this.
-    host_workers: Optional[int] = None
     #: Cap on pooled execution states per compiled program; this is
     #: what lets ``workers`` server threads run host numerics truly
     #: concurrently instead of serializing on one arena.  None = the
     #: runtime default (:data:`repro.runtime.hostpool.DEFAULT_MAX_STATES`).
     host_states: Optional[int] = None
-    #: Intra-operator GEMM shard cap inside each host inference (None
-    #: defers to ``REPRO_GEMM_SHARDS``; 1 = off; see
-    #: :class:`repro.runtime.gemmpar.ShardPolicy`).  The CLI flag
-    #: ``--gemm-shards`` sets this.
-    gemm_shards: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -194,9 +186,7 @@ class InferenceServer:
             "queue_depth": self.config.queue_depth,
             "max_batch_size": self.config.max_batch_size,
             "max_wait_ms": self.config.max_wait_ms,
-            "host_workers": self.config.host_workers,
             "host_states": self.config.host_states,
-            "gemm_shards": self.config.gemm_shards,
         }
         return snap
 
@@ -251,13 +241,11 @@ class InferenceServer:
                 # Per-sample through the shared compiled executable: the
                 # same call a direct client would make, hence
                 # byte-identical results no matter how requests were
-                # batched.  Each call runs on its own pooled execution
-                # state, so workers executing different batches proceed
-                # concurrently.
+                # batched.  Each call runs serially on its own pooled
+                # execution state, so workers executing different
+                # batches proceed concurrently.
                 outputs.append(loaded.executor.infer(
-                    req.feeds, workers=self.config.host_workers,
-                    max_states=self.config.host_states,
-                    gemm_shards=self.config.gemm_shards))
+                    req.feeds, max_states=self.config.host_states))
         finally:
             self.metrics.record_host_end()
         host_ms = (time.perf_counter() - start) * 1e3

@@ -3,6 +3,8 @@
 import json
 import re
 
+import pytest
+
 from repro.cli import POLICIES, _preprocess_argv, main
 
 
@@ -145,6 +147,19 @@ class TestServing:
         assert main(["-m=serve", "-n=toy,lenet",
                      f"--workdir={tmp_path}"]) == 2
         assert "lenet" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--host-states", "--serve-workers",
+                                      "--max-batch", "--queue-depth"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_serve_counts_must_be_positive(self, flag, value, tmp_path,
+                                           capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-m=serve", "-n=toy", f"{flag}={value}",
+                  f"--workdir={tmp_path}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be >= 1, got {value}" in err
+        assert "Traceback" not in err
 
     def test_bench_serve_smoke(self, tmp_path, capsys):
         assert main(["-m=bench-serve", "-n=toy", "--clients=4",

@@ -1,16 +1,15 @@
-"""Concurrency stress suite for the pooled/parallel host runtime.
+"""Concurrency stress suite for the pooled host runtime.
 
 The concurrent runtime's contract is the same as the serial compiled
-path's: *byte identity* with the interpreted oracle — under M threads
-hammering one shared executable (each on a pooled private state), and
-under the operator-parallel scheduler (hazard-edged dispatch of ready
-steps, batch sharding at batch >= 4).  Any interleaving that changes a
-single output byte is a missing dependency edge or a shared-state leak,
-never acceptable noise.
+path's: *byte identity* with the interpreted oracle under M threads
+hammering one shared executable, each run on a pooled private state.
+Any interleaving that changes a single output byte is a shared-state
+leak, never acceptable noise.
 
 Also covers the :class:`~repro.runtime.hostpool.StatePool` primitive
-directly (lazy binding, reuse, exhaustion/timeout, factory rollback)
-and the server-side concurrency gauges.
+directly (lazy binding, reuse, exhaustion/timeout, factory rollback),
+a kernel that raises mid-run (direct and through the server), and the
+server-side concurrency gauges.
 """
 
 import threading
@@ -20,19 +19,14 @@ import pytest
 
 from repro.models import build_model
 from repro.runtime.compiled import CompiledExecutable
-from repro.runtime.hostpool import (
-    StatePool,
-    StatePoolTimeout,
-    resolve_host_workers,
-)
+from repro.runtime.hostpool import StatePool, StatePoolTimeout
 from repro.runtime.numerical import execute
 from repro.runtime.verify import random_feeds
 
 STRESS_MODELS = ("toy", "mobilenet-v2", "shufflenet-v2")
 
 
-def _stress(exe, graph, *, threads, runs_each, batch=1, seeds=(0, 1),
-            workers=None):
+def _stress(exe, graph, *, threads, runs_each, batch=1, seeds=(0, 1)):
     """M threads x K runs against one shared executable vs the oracle."""
     cases = {}
     for seed in seeds:
@@ -47,7 +41,7 @@ def _stress(exe, graph, *, threads, runs_each, batch=1, seeds=(0, 1),
             for k in range(runs_each):
                 seed = (tid + k) % len(seeds)
                 feeds, ref = cases[seed]
-                out = exe.run(feeds, workers=workers)
+                out = exe.run(feeds)
                 for name in ref:
                     if ref[name].tobytes() != out[name].tobytes():
                         failures.append(
@@ -116,43 +110,104 @@ class TestPooledByteIdentity:
         assert exe.pool_stats()["programs"] == 2
 
 
-class TestOperatorParallelByteIdentity:
-    """The hazard-edged scheduler must equal serial bit for bit."""
-
-    @pytest.mark.parametrize("model", ("mobilenet-v2", "shufflenet-v2"))
-    @pytest.mark.parametrize("batch", (1, 8))
-    def test_parallel_schedule_matches_oracle(self, model, batch):
-        graph = build_model(model)
-        feeds = random_feeds(graph, seed=0, batch=batch)
+class TestStateScratch:
+    def test_scratch_is_per_state_not_per_thread(self):
+        # Two threads take turns on the single pooled state: the state
+        # keeps one set of scratch buffers, whichever thread runs it.
+        graph = build_model("mobilenet-v2")
+        exe = CompiledExecutable(graph, max_states=1)
+        feeds = random_feeds(graph, seed=0)
         ref = execute(graph, feeds)
-        exe = CompiledExecutable(graph, workers=4)
-        for run in range(3):  # repeats reuse the arena
+        seen = []
+
+        def run_once():
             out = exe.run(feeds)
-            for name in ref:
-                assert ref[name].tobytes() == out[name].tobytes(), \
-                    f"{name} diverged on parallel run {run}"
+            assert all(ref[k].tobytes() == out[k].tobytes() for k in ref)
+            _, pool = exe._pool_for(feeds)
+            state = pool.acquire()
+            try:
+                seen.append((state._scratch.a, state._scratch.b))
+            finally:
+                pool.release(state)
 
-    def test_threads_plus_operator_parallel(self):
-        # Both concurrency axes at once: pooled states across threads,
-        # parallel dispatch within each run, shufflenet's branchy graph.
-        graph = build_model("shufflenet-v2")
-        exe = CompiledExecutable(graph, workers=4, max_states=2)
-        _stress(exe, graph, threads=3, runs_each=2, batch=8)
+        for _ in range(2):
+            t = threading.Thread(target=run_once)
+            t.start()
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert len(seen) == 2
+        (a1, b1), (a2, b2) = seen
+        assert b1 is not None, "mobilenet's depthwise bands use scratch b"
+        assert a1 is a2 and b1 is b2
 
-    def test_run_workers_can_only_lower_width(self):
+
+def _fail_one_step_once(exe, feeds):
+    """Wrap one bound step of ``exe``'s (single) pooled state so that
+    its next call raises; later calls run the original step."""
+    _, pool = exe._pool_for(
+        {n: np.asarray(f, dtype=np.float32) for n, f in feeds.items()})
+    state = pool.acquire()
+    try:
+        idx = len(state._steps) // 2
+        original = state._steps[idx]
+        fired = []
+
+        def flaky():
+            if not fired:
+                fired.append(True)
+                raise RuntimeError("injected kernel fault")
+            original()
+        state._steps[idx] = flaky
+    finally:
+        pool.release(state)
+    return fired
+
+
+class TestKernelFailure:
+    def test_error_surfaces_and_state_returns(self):
         graph = build_model("toy")
-        feeds = random_feeds(graph, seed=0, batch=8)
+        exe = CompiledExecutable(graph, max_states=1)
+        feeds = random_feeds(graph, seed=0)
         ref = execute(graph, feeds)
-        serial_exe = CompiledExecutable(graph, workers=1)
-        # Asking a serial executable for more workers must not widen it
-        # (its states were bound without sharding/step graphs).
-        out = serial_exe.run(feeds, workers=8)
+        exe.run(feeds)  # bind the single state
+        fired = _fail_one_step_once(exe, feeds)
+        with pytest.raises(RuntimeError, match="injected kernel fault"):
+            exe.run(feeds)
+        assert fired
+        assert exe.pool_stats()["in_use"] == 0, "the failed run leaked"
+        out = exe.run(feeds)
         for name in ref:
             assert ref[name].tobytes() == out[name].tobytes()
-        wide_exe = CompiledExecutable(graph, workers=4)
-        out = wide_exe.run(feeds, workers=1)  # lowering is honoured
+
+    def test_server_fails_the_request_and_recovers(self):
+        from repro.pimflow import Compiler, PimFlowConfig
+        from repro.serve import InferenceServer, ModelRepository, ServerConfig
+        from repro.serve.errors import ServeError
+
+        plan = Compiler(PimFlowConfig(mechanism="gpu")).build_plan(
+            build_model("toy"), model_name="toy")
+        repo = ModelRepository()
+        repo.register_plan("toy", plan)
+        config = ServerConfig(workers=1, max_batch_size=1, max_wait_ms=0.0,
+                              host_states=1)
+        feeds = random_feeds(plan.graph, seed=0)
+        ref = execute(plan.graph, feeds)
+        executor = repo.get("toy").executor
+        exe = executor.engine.executable(executor.plan.graph,
+                                         max_states=config.host_states)
+        exe.run(feeds)  # bind the state the server will use
+        fired = _fail_one_step_once(exe, feeds)
+        with InferenceServer(repo, config) as server:
+            with pytest.raises(ServeError, match="injected kernel fault"):
+                server.infer("toy", feeds, timeout_s=60.0)
+            assert fired
+            assert server.stats()["failed"] == 1
+            response = server.infer("toy", feeds, timeout_s=60.0)
+            snap = server.stats()
         for name in ref:
-            assert ref[name].tobytes() == out[name].tobytes()
+            assert ref[name].tobytes() == response.outputs[name].tobytes()
+        assert snap["failed"] == 1
+        assert snap["host"]["in_use"] == 0
 
 
 class TestStatePool:
@@ -236,42 +291,6 @@ class TestStatePool:
         ref = execute(graph, feeds)
         for name in ref:
             assert ref[name].tobytes() == out[name].tobytes()
-
-
-class TestWorkerResolution:
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HOST_WORKERS", "7")
-        assert resolve_host_workers(2) == 2
-        assert resolve_host_workers() == 7
-
-    def test_env_default_and_zero_means_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_HOST_WORKERS", raising=False)
-        assert resolve_host_workers() == 1
-        monkeypatch.setenv("REPRO_HOST_WORKERS", "0")
-        import os
-        assert resolve_host_workers() == (os.cpu_count() or 1)
-        monkeypatch.setenv("REPRO_HOST_WORKERS", "junk")
-        assert resolve_host_workers() == 1
-
-    def test_engine_cache_keys_on_width(self, monkeypatch):
-        from repro.gpu.config import GpuConfig
-        from repro.gpu.device import GpuDevice
-        from repro.runtime.engine import ExecutionEngine
-
-        monkeypatch.delenv("REPRO_HOST_WORKERS", raising=False)
-        graph = build_model("toy")
-        feeds = random_feeds(graph, seed=0)
-        engine = ExecutionEngine(GpuDevice(GpuConfig()))
-        ref = engine.infer(graph, feeds, compiled=False)
-        a = engine.infer(graph, feeds, compiled=True)
-        b = engine.infer(graph, feeds, compiled=True, workers=4)
-        assert len(engine._compiled_cache) == 2
-        for name in ref:
-            assert ref[name].tobytes() == a[name].tobytes()
-            assert ref[name].tobytes() == b[name].tobytes()
-        host = engine.host_stats()
-        assert host["executables"] == 2
-        assert host["in_use"] == 0
 
 
 class TestServerConcurrencyGauges:

@@ -6,8 +6,8 @@ identity with the *unfused* interpreted oracle — so these tests drive
 the fused compiled path against :func:`repro.runtime.numerical.execute`
 on the original graphs, across the registry, batch sizes, and elision
 modes, plus adversarial aliasing shapes.  Also covered here: the
-read-only strided im2col window views, the hazard-graph width gate for
-operator-parallel dispatch, and the per-op-kind step profile.
+read-only strided im2col window views and the per-op-kind step
+profile.
 """
 
 import numpy as np
@@ -162,54 +162,6 @@ class TestStridedIm2col:
         _assert_oracle_identical(graph, random_feeds(graph, seed=6))
 
 
-class TestWidthGate:
-    def test_chain_graph_stays_serial(self):
-        # mobilenet-v2 is a pure chain: hazard-graph width 1 at the
-        # operator level, so with intra-op GEMM sharding pinned off the
-        # dispatch must take the serial fast path even with workers.
-        from repro.runtime.gemmpar import ShardPolicy
-
-        graph = build_model("mobilenet-v2")
-        feeds = random_feeds(graph, seed=0)
-        exe = CompiledExecutable(graph, workers=4,
-                                 policy=ShardPolicy(gemm_shards=1))
-        out = exe.run(feeds)
-        ref = execute(graph, feeds)
-        for name in ref:
-            assert ref[name].tobytes() == out[name].tobytes()
-        assert exe.pool_stats()["width"] == 1
-
-    def test_chain_graph_widens_with_gemm_shards(self):
-        # The same chain gains schedulable width once row-panel GEMM
-        # sharding engages: disjoint per-panel writes carry no hazard
-        # edges, so the shards of one conv overlap on the pool.
-        graph = build_model("mobilenet-v2")
-        feeds = random_feeds(graph, seed=0)
-        exe = CompiledExecutable(graph, workers=4)
-        out = exe.run(feeds)
-        ref = execute(graph, feeds)
-        for name in ref:
-            assert ref[name].tobytes() == out[name].tobytes()
-        stats = exe.pool_stats()
-        assert stats["width"] > 1
-        assert stats["gemm_sharded_steps"] > 0
-
-    def test_branchy_graph_reports_width(self):
-        b = GraphBuilder("wide", seed=7)
-        x = b.input("x", (1, 8, 8, 4))
-        branches = [b.conv(x, cout=4, kernel=3, name=f"br{i}")
-                    for i in range(3)]
-        b.output(b.concat(branches, axis=3, name="cat"))
-        graph = b.build()
-        feeds = random_feeds(graph, seed=7)
-        exe = CompiledExecutable(graph, workers=4)
-        out = exe.run(feeds)
-        ref = execute(graph, feeds)
-        for name in ref:
-            assert ref[name].tobytes() == out[name].tobytes()
-        assert exe.pool_stats()["width"] > 1
-
-
 class TestProfiling:
     def test_step_profile_kinds(self):
         graph = build_model("toy")
@@ -237,7 +189,6 @@ class TestProfiling:
         engine.infer(graph, feeds)
         stats = engine.host_stats()
         assert stats["fused_groups"] > 0
-        assert stats["width"] >= 1
         assert stats["step_kinds"].get("fused", 0) > 0
 
     def test_fuse_off_has_no_fused_steps(self):

@@ -3,8 +3,9 @@
 The contract that matters for a growing metric set: metrics present on
 only one side of a baseline comparison are *informational* — reported
 as ``new``/``missing`` rows but never a ``--check`` failure.  Without
-this, every PR that adds a metric family (as the concurrency work adds
-``parallel_ms``/``host_rps``) would trip CI on the stale baseline.
+this, every change that adds a metric family (as the concurrency work
+added ``host_rps``) would trip CI on the stale baseline, and every
+change that deletes one would trip it too.
 """
 
 import sys

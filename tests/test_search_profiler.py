@@ -126,12 +126,17 @@ class TestProfilePipeline:
 
 class TestProfileGpu:
     def test_gpu_region_time(self, pointwise_chain_graph, engine):
-        from repro.search.profiler import profile_gpu
+        from repro.search.profiler import measure_region
 
-        t = profile_gpu(pointwise_chain_graph, ["pw1", "act1"], engine)
+        def gpu_time(names):
+            region = extract_subgraph(pointwise_chain_graph, names)
+            (m,) = measure_region(region, "gpu", names, engine)
+            assert m.mode == "gpu"
+            return m.time_us
+
+        t = gpu_time(["pw1", "act1"])
         assert t > 0
-        single = profile_gpu(pointwise_chain_graph, ["pw1"], engine)
-        assert t > single
+        assert t > gpu_time(["pw1"])
 
 
 def _profile_toy(cache=None):
