@@ -9,17 +9,12 @@ noise):
   fed into the batch-1 graph (the batched-feed path).
 * ``numerical.<model>.compiled_ms`` — one repeat inference through the
   buffer-planned :class:`~repro.runtime.compiled.CompiledExecutable`
-  at batch 1 with elementwise fusion off (binding excluded:
+  at batch 1 in its default configuration (binding excluded:
   compile-once/run-many measures the run-many half).
-* ``numerical.<model>.fused_ms`` — the same repeat inference in the
-  executor's default configuration (``FusedElementwise`` groups bound
-  to single tiled-sweep closures); the fusion win is
-  ``compiled_ms / fused_ms``.
-* ``numerical.<model>.batch1_peak_mb`` / ``compiled_peak_mb`` /
-  ``fused_peak_mb`` — tracemalloc peak of one batch-1 inference
-  (interpreted, compiled-unfused, and compiled-fused, the compiled
-  ones including arena binding), tracking the arena planner's
-  footprint win and fusion's elimination of interior buffers.
+* ``numerical.<model>.batch1_peak_mb`` / ``compiled_peak_mb`` —
+  tracemalloc peak of one batch-1 inference (interpreted and compiled,
+  the compiled one including arena binding), tracking the arena
+  planner's footprint win.
 * ``numerical.<model>.split_ms`` / ``split_noelide_ms`` — compiled
   repeat inference of the MD-DP-split graph (every PIM-candidate conv
   split 50/50, memory-layout optimizer applied) with buffer-plan
@@ -110,28 +105,12 @@ def bench_numerical(model: str, batches: Iterable[int],
         if batch == 1:
             metrics[f"numerical.{model}.batch1_peak_mb"] = _peak_mb(
                 lambda: execute(graph, feeds))
-            # ``compiled_ms`` keeps fusion off so it stays comparable
-            # with historical baselines; ``fused_ms`` is the default
-            # executor configuration (elementwise fusion on).  Rounds
-            # interleave the two executables so slow drift (thermal,
-            # background load) biases neither side.
-            exe = CompiledExecutable(graph, fuse=False)
+            exe = CompiledExecutable(graph)
             exe.run(feeds)  # warm-up: shape capture, binding, arena
-            exe_fused = CompiledExecutable(graph)
-            exe_fused.run(feeds)
-            best = {"compiled_ms": float("inf"), "fused_ms": float("inf")}
-            for _ in range(rounds):
-                for key, runner in (("compiled_ms", exe),
-                                    ("fused_ms", exe_fused)):
-                    t0 = time.perf_counter()
-                    runner.run(feeds)
-                    best[key] = min(best[key], time.perf_counter() - t0)
-            for key, value in best.items():
-                metrics[f"numerical.{model}.{key}"] = value * 1e3
+            metrics[f"numerical.{model}.compiled_ms"] = _best_of(
+                lambda: exe.run(feeds), rounds)
             # Footprint includes binding: the arena is the live set.
             metrics[f"numerical.{model}.compiled_peak_mb"] = _peak_mb(
-                lambda: CompiledExecutable(graph, fuse=False).run(feeds))
-            metrics[f"numerical.{model}.fused_peak_mb"] = _peak_mb(
                 lambda: CompiledExecutable(graph).run(feeds))
         elif batch >= 4:
             exe_batch = CompiledExecutable(graph)
@@ -395,11 +374,10 @@ def compare(baseline: Dict[str, object], current: Dict[str, object],
 
 #: Intra-run compiled-vs-interpreted pairs: the compiled executor must
 #: not lose to the interpreted oracle on the same model and batch.
-#: ``fused_ms`` is the default executor configuration at batch 1;
-#: ``compiled_batch{B}_ms`` is the serial compiled path at the repeat
-#: batch.  Keys are (compiled metric suffix, interpreted metric suffix).
+#: ``compiled_ms`` is the default executor configuration at batch 1;
+#: ``compiled_batch{B}_ms`` is the same path at the repeat batch.  Keys are (compiled metric suffix, interpreted metric suffix).
 TRIPWIRE_PAIRS: Tuple[Tuple[str, str], ...] = (
-    ("fused_ms", "batch1_ms"),
+    ("compiled_ms", "batch1_ms"),
     ("compiled_batch8_ms", "batch8_ms"),
 )
 

@@ -222,7 +222,7 @@ def _config(args: argparse.Namespace, mechanism: str) -> PimFlowConfig:
 
 def _print_profile_summary(flow: PimFlow) -> None:
     """One per-phase line so long searches aren't silent."""
-    s = flow.compiler.last_profile_summary
+    s = flow.last_profile_summary
     if not s:
         return
     print(f"[profile] {s['candidates']} candidates, {s['requests']} "
@@ -435,7 +435,7 @@ def cmd_stat(args: argparse.Namespace) -> int:
             "ratio_distribution": {str(k): v for k, v in dist.items()},
             "buffer_plan": plan_buffers(compiled.graph).stats(),
             "passes": list(compiled.pass_records),
-            "profile": dict(flow.compiler.last_profile_summary),
+            "profile": dict(flow.last_profile_summary),
             "cache": flow.cache.stats() if flow.cache is not None else None,
             "last_run": (flow.cache.last_run()
                          if flow.cache is not None else None),
@@ -535,8 +535,8 @@ def _plan_step_profile(plan):
     """Wall-clock breakdown of one compiled inference.
 
     Binds the plan's graph into a fresh compiled executable and times
-    every step, bucketed by kernel class (gemm, dwconv, fused,
-    elementwise, copy, other), plus every node's time, slowest first.
+    every step, bucketed by kernel class (gemm, dwconv, elementwise,
+    copy, other), plus every node's time, slowest first.
     Returns ``({}, [])`` when the graph cannot be bound (e.g. an op
     with no numpy kernel).
     """

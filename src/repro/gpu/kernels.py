@@ -129,15 +129,6 @@ def node_flops_bytes(node: Node, graph: Graph) -> Tuple[float, float]:
     if node.op_type in MOVEMENT_OPS:
         return 0.0, bytes_total
 
-    if node.op_type == "FusedElementwise":
-        # One flop per element per fused entry (four for the BN
-        # normalize sequence), priced over the common group shape.
-        out = graph.tensors[node.outputs[0]]
-        expr = node.attr("expr") or []
-        ops = sum(4.0 if entry.get("op") == "BatchNormalization" else 1.0
-                  for entry in expr)
-        return max(1.0, ops) * out.num_elements, bytes_total
-
     # Elementwise / activation / softmax / reductions.
     out = graph.tensors[node.outputs[0]]
     return float(out.num_elements), bytes_total

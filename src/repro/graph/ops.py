@@ -198,32 +198,6 @@ for _op in ("Add", "Mul", "Sub", "Div"):
     OP_REGISTRY[_op] = _infer_binary
 
 
-@register("FusedElementwise")
-def _infer_fused_elementwise(node: Node, input_shapes: List[Shape]) -> List[Shape]:
-    # Re-derive every entry's shape from the embedded sub-expression
-    # (see transform/elemfuse.py for the expr/out_ids encoding), so a
-    # fused graph stays checkable by Graph.validate without the
-    # original member nodes.
-    expr = node.attr("expr") or []
-    out_ids = node.attr("out_ids") or []
-    if not expr or len(out_ids) != len(node.outputs):
-        raise ShapeError(
-            f"FusedElementwise {node.name!r} has inconsistent expr/out_ids")
-    shapes: List[Shape] = []
-    for entry in expr:
-        ins: List[Shape] = []
-        for ref in entry["inputs"]:
-            kind, j = ref[0], ref[1]
-            ins.append(tuple(input_shapes[j]) if kind == "in"
-                       else shapes[j])
-        if entry["op"] in ("Add", "Mul", "Sub", "Div"):
-            shapes.append(_broadcast(ins[0], ins[1]))
-        else:
-            # Unary activations and BatchNormalization: data-shaped.
-            shapes.append(ins[0])
-    return [shapes[i] for i in out_ids]
-
-
 @register("BatchNormalization")
 def _infer_bn(node: Node, input_shapes: List[Shape]) -> List[Shape]:
     data = input_shapes[0]

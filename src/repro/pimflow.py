@@ -2,7 +2,7 @@
 
 This module wires the whole stack together the way the artifact's
 ``pimflow`` driver script does, split into an ahead-of-time compile
-layer and a thin runtime facade:
+layer and its one-object runtime entry point:
 
 * :class:`Compiler` owns the expensive phases — ``profile`` (Algorithm-1
   measurements, memoized through a content-addressed
@@ -12,9 +12,8 @@ layer and a thin runtime facade:
   so compilation happens once and execution many times — including in
   processes that never import the search subsystem (see
   :class:`~repro.runtime.executor.PlanExecutor`).
-* :class:`PimFlow` preserves the original one-object API: ``profile``,
-  ``solve``, ``compile`` delegate to the compiler and ``run`` schedules
-  on the mixed-parallel engine exactly as before.
+* :class:`PimFlow` is the compiler plus ``run``, which schedules on the
+  mixed-parallel engine: the original one-object API.
 
 The ``mechanism`` selects the offloading scheme of the evaluation
 (Section 5): ``gpu``, ``newton+``, ``newton++``, ``pimflow-md``,
@@ -368,6 +367,14 @@ class Compiler:
                              table=table, predicted_time_us=predicted,
                              pass_records=list(self.last_pass_records))
 
+    def _gpu_graph(self, graph: Graph) -> Graph:
+        """The prepared clone of ``graph`` with every node on the GPU:
+        the ``gpu`` mechanism's whole compile."""
+        prepared = self.prepare(graph).clone()
+        for node in prepared.nodes:
+            node.device = "gpu"
+        return prepared
+
     # ------------------------------------------------------------------
     # Step 3b: package as a reusable artifact
     # ------------------------------------------------------------------
@@ -392,9 +399,7 @@ class Compiler:
 
         source_fp = graph_fingerprint(graph)
         if self.config.mechanism == "gpu":
-            transformed = self.prepare(graph).clone()
-            for node in transformed.nodes:
-                node.device = "gpu"
+            transformed = self._gpu_graph(graph)
             decisions: List[Dict[str, object]] = []
             predicted = self.engine.run(transformed).makespan_us
             num_measurements = 0
@@ -450,73 +455,15 @@ class Compiler:
         )
 
 
-class PimFlow:
-    """One configured PIMFlow toolchain instance.
+class PimFlow(Compiler):
+    """One configured PIMFlow toolchain instance: the :class:`Compiler`
+    plus :meth:`run`, which schedules on the mixed-parallel engine."""
 
-    A thin facade over :class:`Compiler` plus the execution engine,
-    preserving the original profile/solve/compile/run API.
-    """
-
-    def __init__(self, config: Optional[PimFlowConfig] = None,
-                 cache: Optional[ProfileCache] = None) -> None:
-        self.compiler = Compiler(config, cache=cache)
-
-    @property
-    def config(self) -> PimFlowConfig:
-        return self.compiler.config
-
-    @property
-    def gpu(self) -> GpuDevice:
-        return self.compiler.gpu
-
-    @property
-    def pim(self) -> Optional[PimDevice]:
-        return self.compiler.pim
-
-    @property
-    def engine(self) -> ExecutionEngine:
-        return self.compiler.engine
-
-    @property
-    def cache(self) -> Optional[ProfileCache]:
-        return self.compiler.cache
-
-    def prepare(self, graph: Graph) -> Graph:
-        return self.compiler.prepare(graph)
-
-    def profile(self, graph: Graph) -> MeasurementTable:
-        """Measure all execution-mode samples for ``graph``."""
-        return self.compiler.profile(graph)
-
-    def solve(self, graph: Graph,
-              table: MeasurementTable) -> Tuple[float, List[Decision]]:
-        """Run the Algorithm-1 DP over the measurement table."""
-        return self.compiler.solve(graph, table)
-
-    def compile(self, graph: Graph,
-                table: Optional[MeasurementTable] = None) -> CompiledModel:
-        """Fuse, profile (unless a table is given), solve, and transform."""
-        return self.compiler.compile(graph, table)
-
-    def build_plan(self, graph: Graph, model_name: Optional[str] = None,
-                   with_traces: bool = False,
-                   compiled: Optional[CompiledModel] = None) -> ExecutionPlan:
-        """Compile ``graph`` into a serializable execution plan."""
-        return self.compiler.build_plan(graph, model_name=model_name,
-                                        with_traces=with_traces,
-                                        compiled=compiled)
-
-    # ------------------------------------------------------------------
-    # Step 4: run
-    # ------------------------------------------------------------------
     def run(self, graph: Graph,
             compiled: Optional[CompiledModel] = None) -> RunResult:
         """Schedule an inference of ``graph`` (compiling if needed)."""
         if self.config.mechanism == "gpu":
-            g = self.prepare(graph).clone()
-            for node in g.nodes:
-                node.device = "gpu"
-            return self.engine.run(g)
+            return self.engine.run(self._gpu_graph(graph))
         if compiled is None:
             compiled = self.compile(graph)
         return self.engine.run(compiled.graph)

@@ -59,10 +59,6 @@ GEMM_DST_GUARD = True
 INPLACE_OPS = frozenset({
     "Relu", "Clip", "Sigmoid", "Silu", "Tanh", "Gelu", "Erf", "Softmax",
     "BatchNormalization", "Add", "Mul", "Sub", "Div",
-    # Fused elementwise groups stage every tile in scratch and flush
-    # outputs at tile end, so overwriting a dying same-shape input is
-    # as safe as for a single in-place ufunc.
-    "FusedElementwise",
 })
 
 
@@ -273,12 +269,7 @@ def plan_buffers(graph: Graph,
         if len(node.outputs) != 1 or out in elide_claimed \
                 or not alias_eligible(out):
             return None
-        if node.op_type == "FusedElementwise":
-            # Any same-shape dying input qualifies: the fused sweep
-            # reads each tile of every operand before flushing that
-            # tile's output.
-            candidates = node.inputs
-        elif node.op_type in ("Add", "Mul", "Sub", "Div"):
+        if node.op_type in ("Add", "Mul", "Sub", "Div"):
             candidates = node.inputs[:2]
         else:
             candidates = node.inputs[:1]

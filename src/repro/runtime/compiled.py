@@ -19,22 +19,14 @@ a fixed offset of the state's arena, elided Slice/Concat/Pad nodes
 from :mod:`repro.transform.memopt` cost nothing, and convolutions read
 pre-padded arena views instead of calling ``np.pad`` per invocation.
 
-**Elementwise fusion.**  By default the executable applies the
-``fuse_elementwise`` pass to its graph before binding
-(``fuse=False`` is the ablation): maximal chains/DAGs of pure
-elementwise ops become single ``FusedElementwise`` steps that evaluate
-the whole sub-expression in one blocked sweep over the output.
-Intermediates live in reusable cache-sized scratch tiles
-(:data:`TILE_ELEMENTS` each), never in the arena, so the buffer
-planner allocates nothing for fused interiors and both latency and
-arena peak drop.  Convolutions likewise skip materializing im2col:
+Convolutions skip materializing im2col:
 :func:`~repro.runtime.numerical.conv_window_view` builds a read-only
 ``as_strided`` patch view that feeds the GEMM directly when the 2-D
 reshape is expressible as a view, and otherwise collapses to a single
 vectorized gather into scratch.
 
 Semantics contract: outputs are **byte-identical** to the interpreted
-:func:`repro.runtime.numerical.execute` oracle, fused or unfused.
+:func:`repro.runtime.numerical.execute` oracle.
 Every specialized closure re-expresses the interpreter's exact
 floating-point op sequence (same ufuncs, same operand order, same GEMM
 operands) with the destination redirected into the arena; anything
@@ -67,10 +59,10 @@ from repro.runtime.numerical import (
     stable_silu,
 )
 
-#: Float32 elements per fused-expression scratch tile (256 KB): small
-#: enough that a handful of live tiles sit in L2 while the fused sweep
-#: streams over the output, large enough that per-tile Python dispatch
-#: is noise.  Per-element ufuncs are tiling-invariant, so the tile size
+#: Float32 elements per depthwise output band (256 KB): small enough
+#: that a band's accumulator and tap products sit in L2 across every
+#: tap, large enough that per-band Python dispatch is noise.  Banding
+#: only changes which elements share a ufunc call, so the band size
 #: never affects the bytes produced.
 TILE_ELEMENTS = 64 * 1024
 
@@ -79,16 +71,6 @@ TILE_ELEMENTS = 64 * 1024
 #: in-place step; the rest (Gelu, Erf) go through the generic kernel.
 _ELEMENTWISE_OPS = frozenset((
     "Relu", "Tanh", "Sigmoid", "Silu", "Add", "Mul", "Sub", "Div", "Clip"))
-
-#: Operand positions of a fused elementwise kernel that may exactly
-#: alias its ``out=`` buffer: the kernel never re-reads the operand
-#: after its first write of ``out``.  Binary ufuncs tolerate either
-#: operand; everything else (single-input maps, and notably
-#: BatchNormalization, whose param operands are read *after* ``out``
-#: is first written) only the data input.
-_FUSED_ALIAS_SAFE = {
-    "Add": (0, 1), "Mul": (0, 1), "Sub": (0, 1), "Div": (0, 1),
-}
 
 
 class _Scratch:
@@ -103,31 +85,18 @@ class _Scratch:
     buffers are allocated once, on first use.
     """
 
-    __slots__ = ("need_a", "need_b", "need_slot", "num_slots", "a", "b")
+    __slots__ = ("need_a", "need_b", "a", "b")
 
     def __init__(self) -> None:
         self.need_a = 0
         self.need_b = 0
-        #: Fused-expression tile slots: one ``need_slot``-element slot
-        #: per expression entry, allocated as a single block so a whole
-        #: fused group's intermediates stay hot in cache.
-        self.need_slot = 0
-        self.num_slots = 0
         self.a: Optional[np.ndarray] = None
         self.b: Optional[np.ndarray] = None
 
-    def _pool_a(self) -> np.ndarray:
-        # The ``a`` pool doubles as the fused-slot block: no single
-        # step stages im2col columns *and* fused-tile intermediates,
-        # so the two uses never overlap.
-        need = max(self.need_a, self.need_slot * self.num_slots)
-        buf = self.a
-        if buf is None or buf.size < need:
-            buf = self.a = np.empty(need, dtype=np.float32)
-        return buf
-
     def view_a(self, shape: Tuple[int, ...]) -> np.ndarray:
-        buf = self._pool_a()
+        buf = self.a
+        if buf is None or buf.size < self.need_a:
+            buf = self.a = np.empty(self.need_a, dtype=np.float32)
         n = 1
         for d in shape:
             n *= d
@@ -141,14 +110,6 @@ class _Scratch:
         for d in shape:
             n *= d
         return buf[:n].reshape(shape)
-
-    def view_slot(self, slot: int, shape: Tuple[int, ...]) -> np.ndarray:
-        buf = self._pool_a()
-        n = 1
-        for d in shape:
-            n *= d
-        start = slot * self.need_slot
-        return buf[start:start + n].reshape(shape)
 
 
 def _capture_shapes(graph: Graph,
@@ -219,52 +180,6 @@ def _activation_inplace(node: Node) -> Optional[Callable[[np.ndarray], None]]:
                 0.7978845608 * (out + 0.044715 * out ** 3))))
         return act
     raise ValueError(f"unknown fused activation {kind!r}")
-
-
-#: Minimum contiguous run (elements, ~8 KB of f32) a fused-sweep tile
-#: must keep.  Slicing an inner axis of a batch-N NHWC tensor can
-#: shatter a tile into byte-scale strided runs whose traffic costs far
-#: more than an oversized-but-contiguous tile costs in cache misses.
-_TILE_MIN_RUN = 2048
-
-
-def _tile_plan(shape: Tuple[int, ...]) -> Tuple[int, int]:
-    """(axis, chunk) tiling a fused sweep to ~:data:`TILE_ELEMENTS`.
-
-    A tile slices one axis and keeps every other axis whole.  The axis
-    is chosen for memory locality, not just tile size: slicing axis
-    ``a`` of a C-order array yields contiguous runs of
-    ``chunk * prod(shape[a+1:])`` elements, and once a run drops below
-    :data:`_TILE_MIN_RUN` (batch-8 NHWC sliced along channels, say) the
-    strided traffic dwarfs any cache win from staying under budget.  So
-    walk axes outermost-first, require the chunk=1 tile to be within 4x
-    budget and the run to reach the floor (growing the chunk if
-    needed), and take the first axis that qualifies.  Per-element
-    ufuncs are tiling-invariant, so the choice never affects bytes.
-    """
-    if not shape:
-        return 0, 1
-    total = 1
-    for d in shape:
-        total *= d
-    if total <= TILE_ELEMENTS:
-        return 0, shape[0]
-    inner = total
-    for axis, d in enumerate(shape):
-        inner //= d
-        if d == 1:
-            continue
-        if total // d > 4 * TILE_ELEMENTS:
-            continue  # even a chunk=1 tile dwarfs the budget
-        chunk = max(1, TILE_ELEMENTS * d // total)
-        if chunk * inner < _TILE_MIN_RUN:
-            chunk = -(-_TILE_MIN_RUN // inner)
-        if chunk > d:
-            continue  # axis too short to reach a decent run
-        return axis, chunk
-    # Nothing qualifies (oversized inner block below every axis): whole
-    # outermost-index slices keep each tile one maximal contiguous run.
-    return 0, 1
 
 
 #: Channel runs at least this long (float32 elements, 1 KB) already
@@ -351,13 +266,9 @@ class _ProgramSpec:
         self._lock = threading.Lock()
         self._prepared: Dict[tuple, np.ndarray] = {}
         #: Step count per kind ("gemm", "dwconv", "elementwise",
-        #: "fused", "copy", "other"), recorded by the first state to
+        #: "copy", "other"), recorded by the first state to
         #: bind; binding is deterministic, so every state agrees.
         self.step_kind_counts: Optional[Dict[str, int]] = None
-        #: Node name -> toposort position, matching the order the
-        #: buffer plan's root lifetimes are expressed in.
-        self.node_pos: Dict[str, int] = {
-            n.name: i for i, n in enumerate(graph.toposort())}
 
     def prepared(self, key: tuple,
                  build: Callable[[], np.ndarray]) -> np.ndarray:
@@ -515,8 +426,6 @@ class ExecutionState:
                 self._bind_gemm(node)
             elif op == "BatchNormalization":
                 self._bind_bn(node)
-            elif op == "FusedElementwise":
-                self._bind_fused(node)
             elif op in _ELEMENTWISE_OPS:
                 self._bind_elementwise(node)
             else:
@@ -846,297 +755,6 @@ class ExecutionState:
             kern(ins, dst)
         self._add_step(step, node.name, kind="elementwise")
 
-    def _bind_fused(self, node: Node) -> None:
-        """One step per FusedElementwise group.
-
-        Bind-time alias analysis places every entry's result: output
-        entries write their destination views directly when the write
-        cannot clobber memory a later entry still reads; chain
-        extension then walks backward through single-consumer
-        interiors, keeping the whole chain in place on one buffer —
-        the direct destination, or (when that is a strided
-        margined-interior view) a dying input whose planned lifetime
-        ends here, so only the final entry pays the strided write.
-        Fully-placed groups run as one whole-array sweep over a
-        pre-resolved kernel sequence; groups with leftover interiors
-        evaluate per ~64K-element tile with staged entries in private
-        scratch slots, flushing staged outputs at tile end (the
-        flushed tile only overwrites the identical rectangle of an
-        input the expression has already consumed this tile, which is
-        what keeps the step safe under the planner's in-place
-        aliasing).  Interior tensors never touch the arena.
-        Per-element ufuncs are tiling-invariant, so every placement is
-        byte-identical to whole-array evaluation.
-        """
-        spec = self.spec
-        expr = node.attr("expr") or []
-        out_ids = list(node.attr("out_ids") or [])
-        S = spec.shapes.get(node.outputs[0])
-        if (not expr or len(out_ids) != len(node.outputs) or not S
-                or any(tuple(spec.shapes.get(t, ())) != tuple(S)
-                       for t in node.outputs)):
-            self._bind_generic(node)
-            return
-        S = tuple(S)
-        ins = [spec.inits[t] if t in spec.inits else self._view(t)
-               for t in node.inputs]
-        dsts = [self._view(t) for t in node.outputs]
-        if any(d.shape != S for d in dsts):
-            self._bind_generic(node)
-            return
-        entries: List[tuple] = []
-        for idx, entry in enumerate(expr):
-            op = entry["op"]
-            attrs = dict(entry.get("attrs") or {})
-            refs = [(r[0], int(r[1])) for r in entry["inputs"]]
-            if op == "BatchNormalization" and len(refs) == 5:
-                kind4, j4 = refs[4]
-                if kind4 == "in" and node.inputs[j4] in spec.inits:
-                    # Precompute sqrt(var + eps) once — identical
-                    # float32 values to the per-call evaluation — and
-                    # splice it in as the fifth operand so the tiled
-                    # sweep slices it like every other input.
-                    var = spec.inits[node.inputs[j4]]
-                    eps = attrs.get("epsilon", 1e-5)
-                    denom = spec.prepared(
-                        (node.name, "fused_denom", idx),
-                        lambda var=var, eps=eps: np.sqrt(
-                            np.asarray(var + eps, dtype=np.float32)))
-                    refs[4] = ("in", len(ins))
-                    ins.append(denom)
-                    attrs["_denom_input"] = True
-            entries.append((op, attrs, refs))
-        kerns = [compile_elementwise(op, attrs) for op, attrs, _ in entries]
-        scratch = self._scratch
-        out_ids_t = tuple(out_ids)
-
-        # Operand indices whose arena buffer dies at this node (the
-        # plan's root lifetime ends here, so no later step reads it)
-        # and is referenced by exactly one entry: the tiled sweep may
-        # reuse such a buffer as in-place scratch for chain interiors.
-        in_ref_count: Dict[int, int] = {}
-        for _eop, _eat, erefs in entries:
-            for kind, r in erefs:
-                if kind == "in":
-                    in_ref_count[r] = in_ref_count.get(r, 0) + 1
-        graph_outs = set(spec.graph.outputs)
-        node_pos = spec.node_pos.get(node.name)
-        dying_ops = set()
-        for i, t in enumerate(node.inputs):
-            if (t in spec.inits or t in graph_outs
-                    or in_ref_count.get(i) != 1):
-                continue
-            st = spec.plan.storage.get(t)
-            alloc = st and spec.plan.roots.get(st.root)
-            if alloc is not None and alloc.death == node_pos:
-                dying_ops.add(i)
-
-        def _exact_alias(a: np.ndarray, b: np.ndarray) -> bool:
-            return (a.shape == b.shape and a.strides == b.strides
-                    and a.__array_interface__["data"][0]
-                    == b.__array_interface__["data"][0])
-
-        axis, chunk = _tile_plan(S)
-        ndim = len(S)
-        n_t = S[axis]
-        # Operand axis carrying the tiled dimension under
-        # right-aligned broadcasting; None = the operand broadcasts
-        # along it and passes through whole.
-        ext_axes: List[Optional[int]] = []
-        for iv in ins:
-            k = axis - (ndim - iv.ndim)
-            ext_axes.append(
-                k if 0 <= k < iv.ndim and iv.shape[k] == n_t else None)
-        head, tail = S[:axis], S[axis + 1:]
-
-        # Alias analysis: an output entry may evaluate straight
-        # into its destination view (no staging copy) iff nothing
-        # evaluated at-or-after it reads memory the write clobbers.
-        # The planner's in-place aliasing gives dst the exact view
-        # of one dead input; a ufunc whose out= exactly aliases one
-        # of its own inputs is well-defined, and an exact alias is
-        # tile-sliced identically, so tile k of the input is always
-        # consumed in the same iteration that overwrites it.
-        dv_of = dict(zip(out_ids_t, dsts))
-        dvs_overlap = any(
-            np.shares_memory(a, b)
-            for i, a in enumerate(dsts) for b in dsts[i + 1:])
-
-        def safe_from(j: int, dv: np.ndarray) -> bool:
-            for p in range(j, len(entries)):
-                for kind, r in entries[p][2]:
-                    if kind != "in":
-                        continue
-                    iv = ins[r]
-                    if not np.shares_memory(iv, dv):
-                        continue
-                    if p == j and _exact_alias(iv, dv):
-                        continue
-                    return False
-            return True
-
-        direct: Dict[int, np.ndarray] = {}
-        for j, dv in dv_of.items():
-            if dvs_overlap:
-                break
-            if safe_from(j, dv):
-                direct[j] = dv
-
-        # Chain extension: an interior entry whose value is consumed
-        # exactly once — through an alias-tolerant operand of an
-        # entry already writing ``dv`` — may evaluate into that same
-        # destination tile.  The whole chain then runs in place on
-        # one hot buffer instead of round-tripping a scratch slot,
-        # which is where the fused sweep's bandwidth win lives on
-        # cache-resident activations.  The bytes are unchanged: the
-        # consumer reads the identical values from ``dv`` that it
-        # would have read from the slot.
-        tuse: Dict[int, int] = {}
-        for _eop, _eat, erefs in entries:
-            for kind, r in erefs:
-                if kind == "t":
-                    tuse[r] = tuse.get(r, 0) + 1
-        out_set = set(out_ids_t)
-
-        # Dying inputs usable as in-place chain scratch: full-shape,
-        # writable, contiguous, and not overlapping any other operand
-        # view.
-        avail = {
-            i for i in dying_ops
-            if i < len(ins)
-            and ins[i].shape == S
-            and ins[i].flags.writeable
-            and ins[i].flags.c_contiguous
-            and not any(np.shares_memory(ins[i], ins[k])
-                        for k in range(len(ins)) if k != i)}
-
-        dst_for = dict(direct)
-        for jo in direct:
-            c = jo
-            while True:
-                op_c = entries[c][0]
-                safe_pos = _FUSED_ALIAS_SAFE.get(op_c, (0,))
-                nxt = None
-                for k, (kind, r) in enumerate(entries[c][2]):
-                    if (kind == "t" and k in safe_pos
-                            and tuse.get(r) == 1
-                            and r not in out_set
-                            and r not in dst_for):
-                        nxt = r
-                        break
-                if nxt is None:
-                    break
-                # Pick the chain's buffer.  Default: keep running
-                # in the consumer's target.  But when that target
-                # is a strided margined-interior view and this
-                # entry's own data input is a dying contiguous
-                # arena buffer, run the chain interior in place on
-                # that input instead — only the final entry then
-                # pays the strided write, exactly like the unfused
-                # schedule, and intermediates stay in one hot
-                # contiguous buffer.
-                tgt = dst_for[c]
-                if not tgt.flags.c_contiguous:
-                    for k, (kind, r2) in enumerate(entries[nxt][2]):
-                        if (kind == "in" and r2 in avail
-                                and k in _FUSED_ALIAS_SAFE.get(
-                                    entries[nxt][0], (0,))
-                                and safe_from(nxt, ins[r2])):
-                            tgt = ins[r2]
-                            avail.discard(r2)
-                            break
-                if tgt is dst_for[c] and not safe_from(nxt, tgt):
-                    break
-                dst_for[nxt] = tgt
-                c = nxt
-        staged = [j for j in range(len(entries)) if j not in dst_for]
-        slot_of = {j: i for i, j in enumerate(staged)}
-        if not staged:
-            # Every entry writes its final buffer in place, so
-            # there is no scratch slot to keep cache-hot; tiling
-            # would only add slicing overhead.  Sweep the whole
-            # array in one tile — bit-identical either way.
-            chunk = n_t
-        if staged:
-            inner = 1
-            for d in S[axis + 1:]:
-                inner *= d
-            outer = 1
-            for d in S[:axis]:
-                outer *= d
-            scratch.need_slot = max(scratch.need_slot,
-                                    outer * chunk * inner)
-            scratch.num_slots = max(scratch.num_slots, len(staged))
-
-        # Precompute every tile's input/destination views once at
-        # bind time; the run-time loop only resolves scratch slots
-        # and calls pre-compiled kernels.  The
-        # per-entry table (kernel closure, operand refs, slot) is
-        # static across tiles, so a tile stores just one view per
-        # *operand* — entries sharing an input share its slice —
-        # plus the direct-write and flush targets.
-        static_ents = tuple(
-            (kerns[j],
-             tuple((0, r) if kind == "t" else (1, r)
-                   for kind, r in refs),
-             slot_of.get(j))
-            for j, (op, attrs, refs) in enumerate(entries))
-        tiles = []
-        full_shape = None
-        for lo in range(0, n_t, chunk):
-            hi = min(n_t, lo + chunk)
-            if hi - lo == chunk and full_shape is not None:
-                tshape = full_shape
-            else:
-                tshape = head + (hi - lo,) + tail
-                if hi - lo == chunk:
-                    full_shape = tshape
-            dtile = (slice(None),) * axis + (slice(lo, hi),)
-            tviews = tuple(
-                iv if k is None else
-                iv[(slice(None),) * k + (slice(lo, hi),)]
-                for iv, k in zip(ins, ext_axes))
-            dtgts = tuple(dst_for[j][dtile] if j in dst_for else None
-                          for j in range(len(entries)))
-            flushes = tuple((dv[dtile], j) for j, dv in dv_of.items()
-                            if j not in direct)
-            tiles.append((tviews, dtgts, flushes, tshape))
-
-        if not staged:
-            # Fully extended group: one whole-array tile, every
-            # value a static view, nothing flushed.  The entire
-            # sweep is a fixed sequence of kernel calls resolvable
-            # now — the run-time step does no indexing at all.
-            tviews, dtgts, _fl, _ts = tiles[0]
-            calls = tuple(
-                (kerns[j],
-                 [tviews[p] if kind == "in" else dtgts[p]
-                  for kind, p in refs],
-                 dtgts[j])
-                for j, (op, attrs, refs) in enumerate(entries))
-
-            def step(calls=calls) -> None:
-                for kern, tins, tgt in calls:
-                    kern(tins, tgt)
-
-            self._add_step(step, node.name, kind="fused")
-            return
-
-        def step(tiles=tuple(tiles), ents=static_ents) -> None:
-            vals: List[Optional[np.ndarray]] = [None] * len(ents)
-            for tviews, dtgts, flushes, tshape in tiles:
-                for j, (kern, refs, slot) in enumerate(ents):
-                    tins = [tviews[p] if c else vals[p]
-                            for c, p in refs]
-                    tgt = dtgts[j]
-                    if tgt is None:
-                        tgt = scratch.view_slot(slot, tshape)
-                    kern(tins, tgt)
-                    vals[j] = tgt
-                for fv, j in flushes:
-                    np.copyto(fv, vals[j])
-        self._add_step(step, node.name, kind="fused")
-
     def _bind_generic(self, node: Node) -> None:
         fn = KERNELS.get(node.op_type)
         if fn is None:
@@ -1216,17 +834,13 @@ class CompiledExecutable:
     beyond it wait for a release).  ``elide=False`` disables
     the zero-copy treatment of memopt-``elided`` nodes and pre-padded
     conv reads; it is the ablation the benchmarks use to show what the
-    paper's memory-layout optimization buys at runtime.  ``fuse=False``
-    likewise disables the internal ``fuse_elementwise`` rewrite, the
-    ablation behind the ``compiled_ms`` vs ``fused_ms`` benchmark pair.
+    paper's memory-layout optimization buys at runtime.
     """
 
     def __init__(self, graph: Graph, *, elide: bool = True,
-                 max_states: Optional[int] = None,
-                 fuse: bool = True) -> None:
+                 max_states: Optional[int] = None) -> None:
         self.graph = graph
         self.elide = elide
-        self.fuse = bool(fuse)
         self.max_states = int(max_states) if max_states is not None \
             else DEFAULT_MAX_STATES
         if self.max_states < 1:
@@ -1236,12 +850,10 @@ class CompiledExecutable:
         #: Guards the program map only — never held while running.
         self._bind_lock = threading.Lock()
         self._pools: Dict[tuple, Tuple[_ProgramSpec, StatePool]] = {}
-        self._fused_graph: Optional[Graph] = None
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_pools"] = {}  # closures and arenas never travel
-        state["_fused_graph"] = None
         del state["_bind_lock"]
         return state
 
@@ -1250,38 +862,11 @@ class CompiledExecutable:
         self._bind_lock = threading.Lock()
         self._pools = {}
 
-    def _run_graph(self) -> Graph:
-        """The graph states actually bind: elementwise-fused when
-        ``fuse`` is on and the rewrite found something to fuse.
-
-        Called with ``_bind_lock`` held; the fused clone is cached and
-        invalidated alongside the program map on version changes.
-        Shapes and feeds keep using :attr:`graph` — the fused graph's
-        tensors are a subset (interiors removed), and graph inputs and
-        outputs are preserved by the pass.
-        """
-        if not self.fuse:
-            return self.graph
-        fused = self._fused_graph
-        if fused is None:
-            # Deliberately lazy: the serving path must work without the
-            # transform package in the process (see
-            # test_executor_process_never_imports_search).
-            from repro.transform.elemfuse import _fuse_elementwise
-
-            fused = _fuse_elementwise(self.graph)
-            if not any(n.op_type == "FusedElementwise"
-                       for n in fused.nodes):
-                fused = self.graph
-            self._fused_graph = fused
-        return fused
-
     def _pool_for(self, feeds: Mapping[str, np.ndarray]
                   ) -> Tuple[_ProgramSpec, StatePool]:
         with self._bind_lock:
             if self.graph.version != self._version:
                 self._pools.clear()
-                self._fused_graph = None
                 self._version = self.graph.version
             key = tuple(
                 (name, tuple(np.shape(feeds[name])))
@@ -1297,7 +882,7 @@ class CompiledExecutable:
                               for name, info in self.graph.tensors.items()}
                 else:
                     shapes = _capture_shapes(self.graph, feeds)
-                spec = _ProgramSpec(self._run_graph(), shapes,
+                spec = _ProgramSpec(self.graph, shapes,
                                     elide=self.elide)
                 # States beyond the physical core count cannot overlap
                 # on CPU — they only multiply arena footprint and cache
@@ -1366,7 +951,6 @@ class CompiledExecutable:
             "peak_in_use": 0,
             "acquires": 0,
             "waits": 0,
-            "fused_groups": 0,
             "step_kinds": {},
         }
         kinds: Dict[str, int] = agg["step_kinds"]
@@ -1377,10 +961,6 @@ class CompiledExecutable:
             agg["peak_in_use"] = max(agg["peak_in_use"], s["peak_in_use"])
             agg["acquires"] += s["acquires"]
             agg["waits"] += s["waits"]
-            agg["fused_groups"] = max(
-                agg["fused_groups"],
-                sum(1 for n in spec.graph.nodes
-                    if n.op_type == "FusedElementwise"))
             for kind, count in (spec.step_kind_counts or {}).items():
                 kinds[kind] = max(kinds.get(kind, 0), count)
         return agg

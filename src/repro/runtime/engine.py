@@ -169,8 +169,7 @@ class ExecutionEngine:
         return self.run(plan.graph)
 
     def infer(self, graph: Graph, feeds, compiled: bool = True,
-              elide: bool = True, max_states: Optional[int] = None,
-              fuse: bool = True):
+              elide: bool = True, max_states: Optional[int] = None):
         """Run one *numerical* inference of ``graph`` on the host.
 
         Where :meth:`run` prices a schedule on the modelled devices,
@@ -178,8 +177,8 @@ class ExecutionEngine:
         :class:`~repro.runtime.compiled.CompiledExecutable` is the
         default path; ``compiled=False`` falls back to the interpreted
         :func:`~repro.runtime.numerical.execute` oracle.  Executables
-        are cached per (graph identity, version, elide, max_states,
-        fuse) so repeat inference pays binding cost once.
+        are cached per (graph identity, version, elide, max_states) so
+        repeat inference pays binding cost once.
 
         ``max_states`` caps the executable's pool of concurrent
         execution states.  Calls are thread-safe without serializing —
@@ -188,11 +187,11 @@ class ExecutionEngine:
         if not compiled:
             from repro.runtime.numerical import execute
             return execute(graph, feeds)
-        return self.executable(graph, elide=elide, max_states=max_states,
-                               fuse=fuse).run(feeds)
+        return self.executable(graph, elide=elide,
+                               max_states=max_states).run(feeds)
 
     def executable(self, graph: Graph, elide: bool = True,
-                   max_states: Optional[int] = None, fuse: bool = True):
+                   max_states: Optional[int] = None):
         """The cached :class:`~repro.runtime.compiled.CompiledExecutable`
         for ``graph``, binding one on a miss.
 
@@ -204,14 +203,14 @@ class ExecutionEngine:
         evicted first.
         """
         from repro.runtime.compiled import CompiledExecutable
-        key = (id(graph), graph.version, elide, max_states, fuse)
+        key = (id(graph), graph.version, elide, max_states)
         with self._compiled_lock:
             exe = self._compiled_cache.get(key)
             if exe is not None:
                 self._compiled_cache.move_to_end(key)
                 return exe
         built = CompiledExecutable(graph, elide=elide,
-                                   max_states=max_states, fuse=fuse)
+                                   max_states=max_states)
         with self._compiled_lock:
             exe = self._compiled_cache.get(key)
             if exe is None:
@@ -238,16 +237,15 @@ class ExecutionEngine:
         The serving layer surfaces this as its host-concurrency view:
         how many execution states are bound, the high-water mark of
         simultaneous in-flight runs, and how often an acquire had to
-        wait for a state (contention).  Also carries the
-        ``fused_groups`` count and the per-kind step census
-        (``step_kinds``).
+        wait for a state (contention).  Also carries the per-kind step
+        census (``step_kinds``).
         """
         with self._compiled_lock:
             exes = list(self._compiled_cache.values())
         agg: Dict[str, object] = {
             "executables": len(exes), "programs": 0, "states_bound": 0,
             "in_use": 0, "peak_in_use": 0, "acquires": 0, "waits": 0,
-            "fused_groups": 0, "step_kinds": {}}
+            "step_kinds": {}}
         kinds: Dict[str, int] = agg["step_kinds"]
         for exe in exes:
             s = exe.pool_stats()
@@ -257,8 +255,6 @@ class ExecutionEngine:
             agg["peak_in_use"] = max(agg["peak_in_use"], s["peak_in_use"])
             agg["acquires"] += s["acquires"]
             agg["waits"] += s["waits"]
-            agg["fused_groups"] = max(agg["fused_groups"],
-                                      s.get("fused_groups", 0))
             for kind, count in (s.get("step_kinds") or {}).items():
                 kinds[kind] = max(kinds.get(kind, 0), count)
         return agg

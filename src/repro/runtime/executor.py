@@ -63,20 +63,19 @@ class PlanExecutor:
         return self.engine.run_plan(self.plan)
 
     def infer(self, feeds, compiled: bool = True, elide: bool = True,
-              max_states: Optional[int] = None, fuse: bool = True):
+              max_states: Optional[int] = None):
         """Numerically execute the plan's graph on the given feeds.
 
         Routes through the engine's compiled-executable cache, so a
         serving loop calling this repeatedly binds the graph once and
         then runs pure kernel dispatch (``compiled=False`` falls back
         to the interpreted oracle).  ``max_states`` caps the pool of
-        concurrent execution states; ``fuse=False`` disables the
-        executor's internal elementwise fusion.  Concurrent calls are
-        safe and do not serialize: each runs on its own pooled state.
+        concurrent execution states.  Concurrent calls are safe and do
+        not serialize: each runs on its own pooled state.
         """
         return self.engine.infer(self.plan.graph, feeds,
                                  compiled=compiled, elide=elide,
-                                 max_states=max_states, fuse=fuse)
+                                 max_states=max_states)
 
     def host_stats(self) -> dict:
         """State-pool and concurrency gauges for this plan's engine."""

@@ -332,87 +332,16 @@ def _run_bn(node: Node, inputs: List[np.ndarray]) -> np.ndarray:
     return (x - mean) / np.sqrt(var + eps) * scale + bias
 
 
-def apply_elementwise(op: str, attrs: Mapping, ins: Sequence[np.ndarray],
-                      out: np.ndarray = None) -> np.ndarray:
-    """One elementwise op with the exact float32 sequence of its kernel.
-
-    The shared evaluation core behind both the ``FusedElementwise``
-    interpreter kernel and the compiled executor's tiled fused closures
-    (:meth:`~repro.runtime.compiled.ExecutionState._bind_fused`): every
-    branch reproduces the corresponding standalone kernel's operations
-    bit for bit, which is what lets fused execution stay byte-identical
-    to the unfused oracle.  ``out``, when given, receives the result
-    (it must not alias any input except where the standalone kernel
-    already tolerates aliasing, e.g. the sigmoid/silu divide).
-    """
-    if op == "Add":
-        return np.add(ins[0], ins[1], out=out)
-    if op == "Mul":
-        return np.multiply(ins[0], ins[1], out=out)
-    if op == "Sub":
-        return np.subtract(ins[0], ins[1], out=out)
-    if op == "Div":
-        return np.divide(ins[0], ins[1], out=out)
-    if op == "Relu":
-        return np.maximum(ins[0], 0.0, out=out)
-    if op == "Clip":
-        return np.clip(ins[0], attrs.get("min", 0.0), attrs.get("max", 6.0),
-                       out=out)
-    if op == "Sigmoid":
-        return stable_sigmoid(ins[0], out=out)
-    if op == "Silu":
-        return stable_silu(ins[0], out=out)
-    if op == "Tanh":
-        return np.tanh(ins[0], out=out)
-    if op == "Gelu":
-        x = ins[0]
-        res = 0.5 * x * (1.0 + np.tanh(0.7978845608 * (x + 0.044715 * x ** 3)))
-        if out is None:
-            return res
-        np.copyto(out, res)
-        return out
-    if op == "Erf":
-        x = ins[0]
-        sign = np.sign(x)
-        ax = np.abs(x)
-        t = 1.0 / (1.0 + 0.3275911 * ax)
-        poly = t * (0.254829592 + t * (-0.284496736 + t * (
-            1.421413741 + t * (-1.453152027 + t * 1.061405429))))
-        res = sign * (1.0 - poly * np.exp(-ax * ax))
-        if out is None:
-            return res
-        np.copyto(out, res)
-        return out
-    if op == "BatchNormalization":
-        x, scale, bias, mean, var = ins
-        # "_denom_input" marks a bind-time substitution (compiled
-        # path): the fifth operand already holds sqrt(var + eps), so
-        # it participates in tile slicing like every other operand.
-        # Recomputing it here yields the same float32 values.
-        if attrs.get("_denom_input"):
-            denom = var
-        else:
-            denom = np.sqrt(var + attrs.get("epsilon", 1e-5))
-        if out is None:
-            return (x - mean) / denom * scale + bias
-        np.subtract(x, mean, out=out)
-        np.divide(out, denom, out=out)
-        np.multiply(out, scale, out=out)
-        np.add(out, bias, out=out)
-        return out
-    raise NotImplementedError(f"no fused elementwise evaluator for {op!r}")
-
-
 def compile_elementwise(op: str, attrs: Mapping):
-    """Bind-time specialization of :func:`apply_elementwise`.
+    """Bind-time form of a standalone elementwise kernel.
 
     Returns ``kernel(ins, out) -> ndarray`` performing the exact ufunc
-    sequence of the matching :func:`apply_elementwise` branch, with the
-    op string and attr lookups resolved once.  The compiled executor's
-    fused sweep calls the kernel per tile per entry, so hoisting the
-    if-chain walk and ``attrs.get`` calls out of that loop matters;
-    bit-for-bit agreement with :func:`apply_elementwise` remains the
-    hard contract (same ufuncs, same order, same constants).
+    sequence of ``KERNELS[op]`` with the result written into ``out``
+    and the op string and attr lookups resolved once.  ``out`` may
+    alias the data operand (either operand of a binary op), the buffer
+    planner's in-place case: each sequence reads its operands before
+    its single write.  Bit-for-bit agreement with the interpreted kernel is
+    the hard contract (same ufuncs, same order, same constants).
     """
     if op == "Add":
         return lambda ins, out: np.add(ins[0], ins[1], out=out)
@@ -434,47 +363,7 @@ def compile_elementwise(op: str, attrs: Mapping):
         return lambda ins, out: stable_silu(ins[0], out=out)
     if op == "Tanh":
         return lambda ins, out: np.tanh(ins[0], out=out)
-    if op == "BatchNormalization":
-        if attrs.get("_denom_input"):
-            def bn_prepared(ins, out):
-                x, scale, bias, mean, denom = ins
-                if out is None:
-                    return (x - mean) / denom * scale + bias
-                np.subtract(x, mean, out=out)
-                np.divide(out, denom, out=out)
-                np.multiply(out, scale, out=out)
-                np.add(out, bias, out=out)
-                return out
-            return bn_prepared
-        eps = attrs.get("epsilon", 1e-5)
-
-        def bn(ins, out):
-            x, scale, bias, mean, var = ins
-            denom = np.sqrt(var + eps)
-            if out is None:
-                return (x - mean) / denom * scale + bias
-            np.subtract(x, mean, out=out)
-            np.divide(out, denom, out=out)
-            np.multiply(out, scale, out=out)
-            np.add(out, bias, out=out)
-            return out
-        return bn
-    # Gelu / Erf allocate temporaries either way; the generic
-    # evaluator's branch is already their whole cost.
-    return lambda ins, out: apply_elementwise(op, attrs, ins, out=out)
-
-
-@kernel("FusedElementwise")
-def _run_fused_elementwise(node: Node, inputs: List[np.ndarray]):
-    expr = node.attr("expr") or []
-    vals: List[np.ndarray] = []
-    for entry in expr:
-        ins = [inputs[ref[1]] if ref[0] == "in" else vals[ref[1]]
-               for ref in entry["inputs"]]
-        vals.append(apply_elementwise(
-            entry["op"], entry.get("attrs") or {}, ins))
-    outs = [vals[i] for i in node.attr("out_ids")]
-    return outs[0] if len(outs) == 1 else tuple(outs)
+    raise NotImplementedError(f"no compiled elementwise kernel for {op!r}")
 
 
 def _pool(node: Node, x: np.ndarray, reducer: str) -> np.ndarray:

@@ -16,9 +16,9 @@
 * :mod:`repro.transform.memopt` — the memory-layout optimization:
   marks H-axis Slice/Concat (and Pad) nodes as zero-cost no-ops under
   the co-allocated NHWC layout.
-* :mod:`repro.transform.elemfuse` — elementwise-group fusion: contracts
-  maximal chains/DAGs of pure elementwise ops into ``FusedElementwise``
-  super-nodes the compiled executor evaluates in one tiled sweep.
+* :mod:`repro.transform.fusion` — the inference front end: folds
+  BatchNormalization into the preceding Conv and absorbs activations
+  into the Conv/Gemm epilogue.
 
 All passes are pure: they return a transformed clone and never mutate
 their input graph (the :class:`~repro.transform.passes.PassManager`
@@ -33,7 +33,6 @@ from repro.transform.split import apply_mddp, split_rows
 from repro.transform.pipeline import pipeline_chain
 from repro.transform.patterns import find_pipeline_candidates, PipelinePattern
 from repro.transform.memopt import optimize_memory
-from repro.transform.elemfuse import fuse_elementwise
 from repro.transform.fusion import fuse, fold_batchnorm, fuse_activations
 from repro.transform.cleanup import cleanup, eliminate_dead_nodes, fold_constants
 from repro.transform.passes import (
@@ -72,7 +71,6 @@ __all__ = [
     "fuse",
     "fold_batchnorm",
     "fuse_activations",
-    "fuse_elementwise",
     "cleanup",
     "eliminate_dead_nodes",
     "fold_constants",

@@ -456,7 +456,6 @@ def run_pipeline(passes: Union[PassPipeline, Sequence[PassSpec]],
 # ----------------------------------------------------------------------
 def _register_builtin_passes() -> None:
     from repro.transform.cleanup import _eliminate_dead_nodes, _fold_constants
-    from repro.transform.elemfuse import _fuse_elementwise
     from repro.transform.fusion import _fold_batchnorm, _fuse_activations
     from repro.transform.memopt import _optimize_memory
 
@@ -480,13 +479,6 @@ def _register_builtin_passes() -> None:
         description="Absorb Relu/Clip/Silu/Sigmoid/Gelu into the producing "
                     "Conv/Gemm node's activation epilogue.",
     )(_fuse_activations)
-    register_pass(
-        "fuse_elementwise", idempotent=True, tags=("fusion",),
-        description="Group maximal chains/DAGs of pure elementwise ops "
-                    "(Add/Mul/Relu/Clip/Sigmoid/Silu/BatchNormalization/"
-                    "...) into FusedElementwise super-nodes the compiled "
-                    "executor evaluates in one tiled sweep.",
-    )(_fuse_elementwise)
     register_pass(
         "optimize_memory", idempotent=True, tags=("memopt",),
         description="Mark contiguity-elidable Slice/Concat/Pad nodes as "

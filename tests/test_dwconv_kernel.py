@@ -267,8 +267,7 @@ def test_step_profile_has_one_row_per_node(mobilenet_plan):
     feeds = random_feeds(graph, seed=0)
     exe = CompiledExecutable(graph)
     kinds = exe.step_profile(feeds, rounds=1)
-    assert set(kinds) <= {"gemm", "dwconv", "elementwise", "fused",
-                          "copy", "other"}
+    assert set(kinds) <= {"gemm", "dwconv", "elementwise", "copy", "other"}
     assert all(set(v) == {"steps", "ms"} for v in kinds.values())
     kinds, rows = exe.step_profile(feeds, rounds=1, detail=True)
     names = [r["node"] for r in rows]

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from repro.graph.builder import GraphBuilder
 from repro.graph.node import Node
-from repro.runtime.numerical import conv2d_nhwc, execute, execute_node
+from repro.runtime.numerical import (
+    KERNELS,
+    compile_elementwise,
+    conv2d_nhwc,
+    execute,
+    execute_node,
+)
 
 
 class TestConv2dNhwc:
@@ -100,6 +106,59 @@ class TestElementwiseKernels:
         out = execute_node(node, [x])
         expected = np.array([0.0, 0.8427, -0.8427, 0.9953])
         np.testing.assert_allclose(out, expected, atol=1e-3)
+
+
+_UNARY = ("Relu", "Tanh", "Sigmoid", "Silu", "Clip")
+_BINARY = ("Add", "Mul", "Sub", "Div")
+#: Finite extremes, signed zeros, exp over/underflow points and a
+#: subnormal, planted among ordinary values.
+_SPECIALS = (3.4e38, -3.4e38, 1e30, -1e30, 0.0, -0.0, 88.8, -88.8,
+             -104.0, 1e-40)
+
+
+def _special_tensor(rng, shape):
+    x = (rng.standard_normal(shape) * 4).astype(np.float32)
+    flat = x.reshape(-1)
+    values = np.tile(np.array(_SPECIALS, dtype=np.float32), 3)[:flat.size]
+    flat[rng.choice(flat.size, size=values.size, replace=False)] = values
+    return x
+
+
+class TestCompiledElementwise:
+    """``compile_elementwise`` is the compiled executor's standalone
+    elementwise step: it must write the exact bytes of the interpreted
+    kernel, also when ``out`` is the buffer of a dying input."""
+
+    @pytest.mark.parametrize("op,case", (
+        [(op, c) for op in _UNARY for c in ("fresh", "alias0")]
+        + [(op, c) for op in _BINARY
+           for c in ("fresh", "alias0", "alias1", "bcast_c",
+                     "bcast_c_alias0")]))
+    def test_byte_identical_to_kernel(self, op, case):
+        rng = np.random.default_rng(7)
+        shape = (2, 3, 4, 6)
+        attrs = {"min": -1.5, "max": 2.0} if op == "Clip" else {}
+        x = _special_tensor(rng, shape)
+        ins = [x]
+        if op in _BINARY:
+            ins.append(_special_tensor(
+                rng, shape[-1:] if case.startswith("bcast_c") else shape))
+        node = Node("n", op, [f"i{k}" for k in range(len(ins))], ["y"], attrs)
+        kern = compile_elementwise(op, attrs)
+        with np.errstate(all="ignore"):
+            ref = KERNELS[op](node, [a.copy() for a in ins])
+            if case in ("fresh", "bcast_c"):
+                out = np.empty(ref.shape, dtype=np.float32)
+            else:
+                out = ins[int(case[-1])]
+            got = kern(ins, out)
+        assert got is out
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("op", ["Gelu", "Erf", "BatchNormalization"])
+    def test_other_ops_are_not_compiled(self, op):
+        with pytest.raises(NotImplementedError, match=op):
+            compile_elementwise(op, {})
 
 
 class TestPoolKernels:

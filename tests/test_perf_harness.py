@@ -16,11 +16,13 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 from perf.harness import (  # noqa: E402
+    TRIPWIRE_PAIRS,
     compare,
     format_rows,
     higher_is_better,
     load_baseline,
     save_baseline,
+    tripwires,
 )
 
 
@@ -99,3 +101,27 @@ class TestBaselineIO:
         path.write_text('{"schema": 99, "metrics": {}}')
         with pytest.raises(ValueError, match="schema"):
             load_baseline(path)
+
+
+class TestTripwires:
+    def test_batch1_gate_uses_the_default_executor(self):
+        assert TRIPWIRE_PAIRS[0] == ("compiled_ms", "batch1_ms")
+
+    def test_compiled_slower_than_slack_trips(self):
+        rows, ok = tripwires(_results({
+            "numerical.m.batch1_ms": 10.0,
+            "numerical.m.compiled_ms": 11.6,
+            "numerical.m.batch8_ms": 80.0,
+            "numerical.m.compiled_batch8_ms": 40.0}))
+        assert not ok
+        assert [(r[1], r[5]) for r in rows] == [
+            ("compiled_ms", "SLOWER-THAN-INTERPRETED"),
+            ("compiled_batch8_ms", "ok")]
+
+    def test_committed_baseline_covers_every_pair(self):
+        base = load_baseline(
+            Path(__file__).resolve().parent.parent / "BENCH_RUNTIME.json")
+        rows, ok = tripwires(base)
+        models = {r[0] for r in rows}
+        assert models and len(rows) == len(models) * len(TRIPWIRE_PAIRS)
+        assert ok

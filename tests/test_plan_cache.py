@@ -175,6 +175,6 @@ class TestCachedProfiling:
                                      cache_dir=tmp_path))
         flow.profile(toy)
         last = flow.cache.last_run()
-        assert last["config_fingerprint"] == flow.compiler.config_fingerprint
+        assert last["config_fingerprint"] == flow.config_fingerprint
         data = json.loads((tmp_path / "last_run.json").read_text())
         assert data == last
