@@ -148,6 +148,24 @@ class Graph:
                 return removed
         raise KeyError(f"no node named {name!r}")
 
+    def prune(self) -> None:
+        """Drop initializers and tensor infos nothing references, in place.
+
+        A tensor is live if a node reads or writes it or it is a graph
+        input or output.  Rewrites such as BN folding and the MD-DP FC
+        split leave the weights they replace behind; pruning keeps them
+        out of executors and saved plans.
+        """
+        live = set(self.inputs) | set(self.outputs)
+        for n in self.nodes:
+            live.update(n.inputs)
+            live.update(n.outputs)
+        self.initializers = {name: value for name, value
+                             in self.initializers.items() if name in live}
+        self.tensors = {name: info for name, info in self.tensors.items()
+                        if name in live}
+        self.touch()
+
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------

@@ -18,6 +18,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro.graph.node import Node
@@ -242,13 +243,11 @@ def _infer_flatten(node: Node, input_shapes: List[Shape]) -> List[Shape]:
     return [(n, rest)]
 
 
-@register("Reshape")
-def _infer_reshape(node: Node, input_shapes: List[Shape]) -> List[Shape]:
-    data = input_shapes[0]
-    target = list(node.attr("shape"))
-    total = 1
-    for d in data:
-        total *= d
+def reshape_target(data: Shape, target: Sequence[int]) -> Shape:
+    """The output shape of reshaping ``data`` to ``target`` (one ``-1``
+    allowed), or :class:`ShapeError` if the element counts disagree."""
+    target = list(target)
+    total = math.prod(data)
     if target.count(-1) > 1:
         raise ShapeError("Reshape allows at most one -1")
     known = 1
@@ -261,7 +260,29 @@ def _infer_reshape(node: Node, input_shapes: List[Shape]) -> List[Shape]:
         target[target.index(-1)] = total // known
     elif known != total:
         raise ShapeError(f"cannot reshape {data} ({total}) to {target} ({known})")
-    return [tuple(target)]
+    return tuple(target)
+
+
+def batch_rescaled(shape: Sequence[int], size: int) -> Tuple[int, ...]:
+    """A Reshape ``shape`` attribute adapted to an input of ``size`` elements.
+
+    The attribute is recorded at the graph's declared batch.  For a
+    batched feed whose element count differs, the leading (batch) dim
+    becomes ``-1`` so every sample reshapes identically; otherwise the
+    attribute is returned as is.  The interpreted Reshape kernel and
+    the compiled executor's run-shape propagation both apply this rule.
+    """
+    shape = tuple(shape)
+    if shape and math.prod(shape) != size:
+        rest = math.prod(shape[1:])
+        if rest > 0 and size % rest == 0:
+            return (-1,) + shape[1:]
+    return shape
+
+
+@register("Reshape")
+def _infer_reshape(node: Node, input_shapes: List[Shape]) -> List[Shape]:
+    return [reshape_target(input_shapes[0], node.attr("shape"))]
 
 
 @register("Transpose")

@@ -339,10 +339,13 @@ class Compiler:
                 table: Optional[MeasurementTable] = None) -> CompiledModel:
         """Fuse, profile (unless a table is given), solve, and transform.
 
-        The front-end and decision-application pipelines run through
-        one shared :class:`~repro.transform.passes.PassManager`, so the
-        full per-pass log lands on :attr:`last_pass_records` (and in
-        the plan provenance via :meth:`build_plan`).
+        The returned graph is pruned (:meth:`Graph.prune
+        <repro.graph.graph.Graph.prune>`): it holds only the tensors its
+        nodes read or write, not the weights BN folding or the FC split
+        replaced.  The front-end and decision-application pipelines run
+        through one shared :class:`~repro.transform.passes.PassManager`,
+        so the full per-pass log lands on :attr:`last_pass_records` (and
+        in the plan provenance via :meth:`build_plan`).
         """
         manager = self.pass_manager()
         prepared = self.prepare(graph, manager=manager)
@@ -363,16 +366,18 @@ class Compiler:
             ]
             plan_placement(transformed, self.pim.config, self.pim.opts,
                            pim_layers)
+        transformed.prune()
         return CompiledModel(graph=transformed, decisions=decisions,
                              table=table, predicted_time_us=predicted,
                              pass_records=list(self.last_pass_records))
 
     def _gpu_graph(self, graph: Graph) -> Graph:
-        """The prepared clone of ``graph`` with every node on the GPU:
-        the ``gpu`` mechanism's whole compile."""
+        """The prepared, pruned clone of ``graph`` with every node on
+        the GPU: the ``gpu`` mechanism's whole compile."""
         prepared = self.prepare(graph).clone()
         for node in prepared.nodes:
             node.device = "gpu"
+        prepared.prune()
         return prepared
 
     # ------------------------------------------------------------------

@@ -36,6 +36,7 @@ the registered kernel and copying the result into place.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -45,6 +46,7 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.graph.node import Node
+from repro.graph.ops import batch_rescaled, infer_shapes, reshape_target
 from repro.runtime.bufferplan import BufferPlan, plan_buffers
 from repro.runtime.hostpool import DEFAULT_MAX_STATES, StatePool
 from repro.runtime.numerical import (
@@ -112,41 +114,29 @@ class _Scratch:
         return buf[:n].reshape(shape)
 
 
-def _capture_shapes(graph: Graph,
-                    feeds: Mapping[str, np.ndarray]) -> Dict[str, tuple]:
-    """Exact per-tensor run shapes for feeds that differ from declared.
+def _run_shapes(graph: Graph,
+                feeds: Mapping[str, np.ndarray]) -> Dict[str, tuple]:
+    """Exact per-tensor run shapes for ``feeds``.
 
-    Runs the interpreted kernels once (freeing tensors as their last
-    consumer passes, like ``execute``), recording every shape.  Only
-    needed for batch-polymorphic execution; when feeds match the
-    declared shapes the graph's own tensor table is used instead.
+    Propagates the feed shapes through the graph's shape rules
+    (:func:`~repro.graph.ops.infer_shapes`) without running a kernel.
+    Reshape targets are adapted to the feed's batch by
+    :func:`~repro.graph.ops.batch_rescaled`, the rule the interpreted
+    kernel applies, so these are the shapes ``execute`` produces; at
+    the declared batch they are the graph's own tensor table.
     """
-    inits = graph_initializers_f32(graph)
     shapes: Dict[str, tuple] = {
         name: tuple(info.shape) for name, info in graph.tensors.items()}
-    env: Dict[str, np.ndarray] = {
-        name: np.asarray(feeds[name], dtype=np.float32)
-        for name in graph.inputs}
-    for name, arr in env.items():
-        shapes[name] = arr.shape
-    order = graph.toposort()
-    remaining: Dict[str, int] = {}
-    for n in order:
-        for t in n.inputs:
-            remaining[t] = remaining.get(t, 0) + 1
-    keep = set(graph.outputs) | set(graph.inputs)
-    for n in order:
-        fn = KERNELS.get(n.op_type)
-        if fn is None:
-            raise NotImplementedError(f"no numpy kernel for op {n.op_type!r}")
-        result = fn(n, [env[t] if t in env else inits[t] for t in n.inputs])
-        for t, value in zip(n.outputs, _node_results(n, result)):
-            env[t] = value
-            shapes[t] = value.shape
-        for t in n.inputs:
-            remaining[t] -= 1
-            if remaining[t] == 0 and t not in keep and t in env:
-                del env[t]
+    for name in graph.inputs:
+        shapes[name] = tuple(np.shape(feeds[name]))
+    for n in graph.toposort():
+        ins = [shapes[t] for t in n.inputs]
+        if n.op_type == "Reshape":
+            target = batch_rescaled(n.attr("shape"), math.prod(ins[0]))
+            outs = [reshape_target(ins[0], target)]
+        else:
+            outs = infer_shapes(n, ins)
+        shapes.update(zip(n.outputs, outs))
     return shapes
 
 
@@ -873,16 +863,8 @@ class CompiledExecutable:
                 for name in self.graph.inputs)
             entry = self._pools.get(key)
             if entry is None:
-                declared = all(
-                    tuple(np.shape(feeds[name]))
-                    == tuple(self.graph.tensors[name].shape)
-                    for name in self.graph.inputs)
-                if declared:
-                    shapes = {name: tuple(info.shape)
-                              for name, info in self.graph.tensors.items()}
-                else:
-                    shapes = _capture_shapes(self.graph, feeds)
-                spec = _ProgramSpec(self.graph, shapes,
+                spec = _ProgramSpec(self.graph,
+                                    _run_shapes(self.graph, feeds),
                                     elide=self.elide)
                 # States beyond the physical core count cannot overlap
                 # on CPU — they only multiply arena footprint and cache

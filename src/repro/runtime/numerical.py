@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.graph.node import Node
+from repro.graph.ops import batch_rescaled
 
 Env = Dict[str, np.ndarray]
 KernelFn = Callable[[Node, List[np.ndarray]], np.ndarray]
@@ -421,20 +422,7 @@ def _run_flatten(node: Node, inputs: List[np.ndarray]) -> np.ndarray:
 @kernel("Reshape")
 def _run_reshape(node: Node, inputs: List[np.ndarray]) -> np.ndarray:
     x = inputs[0]
-    shape = tuple(node.attr("shape"))
-    size = 1
-    for d in shape:
-        size *= d
-    if size != x.size and shape:
-        # Batched feed: the attribute shape was recorded for the
-        # graph's declared batch; rescale the leading (batch) dim so
-        # batched execution reshapes each sample identically.
-        rest = 1
-        for d in shape[1:]:
-            rest *= d
-        if rest > 0 and x.size % rest == 0:
-            shape = (-1,) + tuple(shape[1:])
-    return x.reshape(shape)
+    return x.reshape(batch_rescaled(node.attr("shape"), x.size))
 
 
 @kernel("Transpose")

@@ -13,8 +13,11 @@ formation:
   same-model requests behind it, up to ``max_batch_size``.  If the
   head alone cannot fill the batch, the worker waits up to
   ``max_wait_ms`` (measured from the head's submission) for more
-  arrivals — the classic size-or-deadline micro-batching policy:
-  batch-happy under load, near-zero added latency when idle.
+  arrivals — the classic size-or-deadline micro-batching policy.  A
+  batch leaves early only once it is full, so under light load nearly
+  every request waits the whole window: ``max_wait_ms`` is added
+  latency when idle, not near zero.  Under load the window fills
+  batches instead.
 
 Requests for *other* models stay queued in FIFO order; a batch only
 ever mixes requests of one model, because they execute as one stacked

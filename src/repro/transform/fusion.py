@@ -59,7 +59,9 @@ def _fold_batchnorm(graph: Graph) -> Graph:
             factor = scale / np.sqrt(var + eps)
 
             weight = np.asarray(g.initializers[w_name], dtype=np.float32)
-            folded_w_name = f"{w_name}__bnfold"
+            # Named per producer, like the bias: convs sharing one
+            # weight each fold their own BN into it.
+            folded_w_name = f"{producer.name}__bnfold_weight"
             g.add_initializer(folded_w_name, weight * factor,
                               g.tensors[w_name].dtype)
 

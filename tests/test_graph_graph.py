@@ -90,6 +90,21 @@ class TestTraversal:
             g.remove_node("nd")
 
 
+    def test_prune_drops_unreferenced_tensors(self):
+        g = _diamond_graph()
+        g.add_initializer("w_dead", np.ones((4,), dtype=np.float32))
+        g.add_tensor(TensorInfo("stale", (1, 4)))
+        g.add_tensor(TensorInfo("unused_input", (1, 4)))
+        g.inputs.append("unused_input")
+        version = g.version
+        g.prune()
+        assert "w_dead" not in g.initializers
+        assert "w_dead" not in g.tensors and "stale" not in g.tensors
+        assert "unused_input" in g.tensors
+        assert set(g.tensors) == {"x", "a", "b", "c", "d", "unused_input"}
+        assert g.version > version
+        g.validate()
+
 class TestValidation:
     def test_valid_graph_passes(self):
         _diamond_graph().validate()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.builder import GraphBuilder
-from repro.models import build_model
+from repro.models import build_model, list_models
 from repro.pimflow import MECHANISMS, Compiler, PimFlow, PimFlowConfig
 from repro.plan import (
     ExecutionPlan,
@@ -223,6 +223,21 @@ class TestPlanRegression:
         assert executor.engine.pim.config.num_channels == 8
         assert executor.run().makespan_us == direct.makespan_us
 
+
+class TestPlanHygiene:
+    @pytest.mark.parametrize("model", list_models())
+    def test_plans_hold_only_live_tensors(self, model):
+        graph = build_model(model)
+        for mechanism in ("gpu", "newton++", "pimflow-md", "pimflow"):
+            plan = Compiler(PimFlowConfig(mechanism=mechanism)).build_plan(
+                graph, model_name=model)
+            g = plan.graph
+            live = set(g.inputs) | set(g.outputs)
+            for node in g.nodes:
+                live.update(node.inputs)
+                live.update(node.outputs)
+            assert set(g.initializers) <= live, mechanism
+            assert set(g.tensors) <= live, mechanism
 
 class TestRuntimeIsSearchFree:
     def test_executor_process_never_imports_search(self, toy, tmp_path):

@@ -73,6 +73,30 @@ class TestBatchNormFolding:
         assert any(n.op_type == "BatchNormalization" for n in g2.nodes)
 
 
+    def test_convs_sharing_a_weight_fold_separately(self, rng):
+        # Two Conv+BN pairs read one weight; each fold must keep its
+        # own scaled copy rather than overwrite the other's.
+        b = GraphBuilder(seed=15)
+        x = b.input("x", (1, 4, 4, 3))
+        y1 = b.conv(x, cout=3, kernel=1, bias=False, name="c1")
+        w = b.graph.node("c1").inputs[1]
+        y2 = b._emit("Conv", [x, w], {"kernel_shape": (1, 1)}, name="c2")
+        b.output(b.batchnorm(y1, name="bn1"))
+        b.output(b.batchnorm(y2, name="bn2"))
+        g = b.build()
+        for bn, scale in (("bn1", 3.0), ("bn2", -0.5)):
+            g.initializers[g.node(bn).inputs[1]] = np.full(
+                3, scale, dtype=np.float32)
+        feed = {"x": rng.standard_normal((1, 4, 4, 3))}
+        ref = execute(g, feed)
+        g2 = fold_batchnorm(g)
+        assert all(n.op_type != "BatchNormalization" for n in g2.nodes)
+        assert g2.node("c1").inputs[1] != g2.node("c2").inputs[1]
+        out = execute(g2, feed)
+        for k in ref:
+            np.testing.assert_allclose(ref[k], out[k], rtol=1e-4, atol=1e-4)
+
+
 class TestActivationFusion:
     def test_relu_fused(self):
         g = fuse_activations(_conv_bn_relu_graph())
